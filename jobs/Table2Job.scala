@@ -1,19 +1,12 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.exp.Table2
 
-/** spark-submit entrypoint for paper Table 2 (sweep-rule proportions).
-  * Usage: spark-submit --class repro.jobs.Table2Job repro.jar [--spark-pipeline]
+/** Entrypoint for paper Table 2 (sweep-rule proportions, local kernel).
   * Env: REPRO_SCALE, REPRO_DATASETS.
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("kvcc-table2")
-      .getOrCreate()
-    try Table2.runAndEmit(spark, useSpark = args.contains("--spark-pipeline"))
-    finally spark.stop()
+    Table2.runAndEmit()
   }
 }

@@ -14,14 +14,14 @@ import scala.collection.mutable
 object KVCCEnumerator {
 
   /** All k-VCCs of `g0`, as induced subgraphs carrying original vertex ids.
-    * `variant` selects the GLOBAL-CUT implementation (Section 6.2's VCCE,
+    * `variant` selects the sweeps GLOBAL-CUT* uses (Section 6.2's VCCE,
     * VCCE-N, VCCE-G, VCCE*); `stats` aggregates counters across the run.
     */
   def enumerate(
       g0: AdjGraph,
       k: Int,
       variant: Variant = Variant.Star,
-      stats: KvccStats = KvccStats.noop): Vector[AdjGraph] = {
+      stats: KvccStats = new KvccStats): Vector[AdjGraph] = {
     require(k >= 1, s"k must be >= 1, got $k")
     val out = Vector.newBuilder[AdjGraph]
     val seen = mutable.HashSet.empty[Seq[Long]] // defensive dedup (Lemma 3 says it never fires)
@@ -33,11 +33,7 @@ object KVCCEnumerator {
           // k-core ⇒ min degree ≥ k ⇒ |V| ≥ k+1, so Definition 2's size
           // requirement holds for every emitted component.
           stats.globalCutCalls += 1
-          val cut = variant match {
-            case Variant.Basic => GlobalCut.find(comp, k, stats)
-            case v             => GlobalCutStar.find(comp, k, v, stats)
-          }
-          cut match {
+          GlobalCutStar.find(comp, k, variant, stats) match {
             case None =>
               val key = comp.sortedIds.toSeq
               if (seen.add(key)) out += comp

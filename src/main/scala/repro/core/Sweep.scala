@@ -27,7 +27,8 @@ object Variant {
   *
   * The phase-1 counters implement the paper's Table 2 accounting: for each
   * vertex processed by GLOBAL-CUT*'s phase-1 loop, which rule (if any) had
-  * already swept it.
+  * already swept it. Not thread-safe: each run owns its instance, and the
+  * entry points default to a fresh one per call.
   */
 final class KvccStats extends Serializable {
   var globalCutCalls: Long = 0
@@ -39,17 +40,6 @@ final class KvccStats extends Serializable {
   var prunedNs2: Long = 0     // neighbor sweep rule 2 (vertex deposit)
   var prunedGs: Long = 0      // group sweep (rules 1 and 2)
 
-  def add(o: KvccStats): Unit = {
-    globalCutCalls += o.globalCutCalls
-    partitions += o.partitions
-    flowTests += o.flowTests
-    phase1Processed += o.phase1Processed
-    phase1Tested += o.phase1Tested
-    prunedNs1 += o.prunedNs1
-    prunedNs2 += o.prunedNs2
-    prunedGs += o.prunedGs
-  }
-
   def proportionNs1: Double = ratio(prunedNs1)
   def proportionNs2: Double = ratio(prunedNs2)
   def proportionGs: Double = ratio(prunedGs)
@@ -60,11 +50,6 @@ final class KvccStats extends Serializable {
   override def toString: String =
     f"KvccStats(calls=$globalCutCalls, partitions=$partitions, flows=$flowTests, " +
       f"NS1=$proportionNs1%.2f, NS2=$proportionNs2%.2f, GS=$proportionGs%.2f, nonPru=$proportionNonPruned%.2f)"
-}
-
-object KvccStats {
-  /** Shared sink for callers that do not care about counters. */
-  val noop: KvccStats = new KvccStats
 }
 
 /** Strong side-vertex detection (Definition 10 / Theorem 8): u is a strong
@@ -113,21 +98,20 @@ final class StrongSideVertex(g: AdjGraph, k: Int) {
   }
 }
 
-object StrongSideVertex {
-  /** Eager mask over all vertices (used by tests). */
-  def computeAll(g: AdjGraph, k: Int): Array[Boolean] = {
-    val ssv = new StrongSideVertex(g, k)
-    Array.tabulate(g.n)(ssv(_))
-  }
-}
-
-/** GLOBAL-CUT* (Algorithm 3) with the SWEEP procedure (Algorithm 4).
+/** GLOBAL-CUT (Algorithm 2) and GLOBAL-CUT* (Algorithm 3) with the SWEEP
+  * procedure (Algorithm 4): find a vertex cut of size < k, or prove the graph
+  * k-connected.
   *
-  * The neighbor-sweep and group-sweep strategies are individually switchable
-  * so VCCE-N / VCCE-G / VCCE* all share this implementation. Strong
-  * side-vertices feed both strategies (neighbor rule 1 and group rule 1) and
-  * the source-vertex selection, so they are computed whenever either strategy
-  * is on.
+  * Phase 1 tests the source u against every other vertex (covers every cut
+  * avoiding u); phase 2 tests pairs of neighbors of u (covers cuts containing
+  * u, Lemma 4). All testing happens on the sparse certificate; because the
+  * certificate is strong, a returned cut is a cut of the input graph too.
+  *
+  * The neighbor-sweep and group-sweep strategies are individually switchable,
+  * so all four variants share this loop; VCCE (both off) is Algorithm 2.
+  * Strong side-vertices feed both strategies (neighbor rule 1 and group
+  * rule 1) and the phase-2 skip, so they are computed whenever either
+  * strategy is on.
   */
 object GlobalCutStar {
 
@@ -137,10 +121,12 @@ object GlobalCutStar {
   private final val RuleNs2: Byte = 2
   private final val RuleGs: Byte = 3
 
-  def find(g: AdjGraph, k: Int, variant: Variant, stats: KvccStats = KvccStats.noop): Option[Array[Int]] = {
+  /** Returns Some(cut local indices) with |cut| < k, or None if k-connected. */
+  def find(g: AdjGraph, k: Int, variant: Variant, stats: KvccStats = new KvccStats): Option[Array[Int]] = {
     val SparseCertificate.Cert(cert, allGroups) = SparseCertificate.compute(g, k)
     val n = cert.n
     val fn = new FlowNetwork(cert)
+    val sweeping = variant.neighborSweep || variant.groupSweep
 
     val groups: Vector[Array[Int]] = if (variant.groupSweep) allGroups else Vector.empty
     val groupOf = Array.fill(n)(-1)
@@ -166,7 +152,8 @@ object GlobalCutStar {
     val gDeposit = new Array[Int](groups.length)
     val gProcessed = new Array[Boolean](groups.length)
 
-    // SWEEP (Algorithm 4), iterative to avoid deep recursion.
+    // SWEEP (Algorithm 4), iterative to avoid deep recursion. With both
+    // strategies off it only marks v0 itself.
     val stack = new mutable.ArrayDeque[Int]()
     def mark(v: Int, rule: Byte): Unit = {
       pru(v) = true; ruleOf(v) = rule; stack.append(v)
@@ -211,17 +198,21 @@ object GlobalCutStar {
     // The source is local-k-connected with itself: sweep it first (line 10).
     sweep(u, RuleNone)
 
-    // Phase 1: non-ascending distance from u (far vertices are the likeliest
-    // to sit across a cut, so the cut is found early).
-    val dist = GraphOps.bfsDistances(cert, u)
-    // Stable sort by descending distance (the per-component invocation
-    // guarantees every vertex is reachable from u).
-    val boxed = Array.tabulate(n)(identity).filter(_ != u)
-      .map(v => (v, dist(v))).sortBy { case (_, d) => -d }.map(_._1)
+    // Phase 1. With a sweep on, in non-ascending distance from u: far
+    // vertices are the likeliest to sit across a cut, so the cut is found
+    // early. The stable sort keeps index order within a distance (the
+    // per-component invocation guarantees every vertex is reachable from u).
+    // VCCE tests in index order.
+    val others = Array.range(0, n).filter(_ != u)
+    val order =
+      if (sweeping) {
+        val dist = GraphOps.bfsDistances(cert, u)
+        others.sortBy(v => -dist(v))
+      } else others
 
     var idx = 0
-    while (idx < boxed.length) {
-      val v = boxed(idx)
+    while (idx < order.length) {
+      val v = order(idx)
       stats.phase1Processed += 1
       if (pru(v)) {
         ruleOf(v) match {
@@ -240,8 +231,9 @@ object GlobalCutStar {
       idx += 1
     }
 
-    // Phase 2: only needed when the source might itself be in a cut.
-    if (!ssv(u)) {
+    // Phase 2: only needed when the source might itself be in a cut. VCCE
+    // does not evaluate strong side-vertices and always runs it.
+    if (!sweeping || !ssv(u)) {
       val nb = cert.neighbors(u)
       var i = 0
       while (i < nb.length) {
@@ -262,4 +254,16 @@ object GlobalCutStar {
     }
     None
   }
+}
+
+/** Basic GLOBAL-CUT under its own name: GLOBAL-CUT* with both sweeps off.
+  * The program calls `GlobalCutStar.find` directly; this forwarder remains
+  * only because the benchmark's traced replay
+  * (`perfbench/src/main/scala/perfbench/Replay.scala`) calls it, and the
+  * benchmark sources change only with the benchmark itself. Delete it at the
+  * next benchmark change.
+  */
+object GlobalCut {
+  def find(g: AdjGraph, k: Int, stats: KvccStats = new KvccStats): Option[Array[Int]] =
+    GlobalCutStar.find(g, k, Variant.Basic, stats)
 }

@@ -70,8 +70,4 @@ object EdgeOps {
     val pairs = canonical.collect().map(r => (r.getLong(0), r.getLong(1)))
     AdjGraph.fromEdges(pairs)
   }
-
-  /** Edge DataFrame from a local graph (canonical orientation). */
-  def fromAdjGraph(spark: SparkSession, g: AdjGraph): DataFrame =
-    toDF(spark, g.edgeList)
 }

@@ -1,7 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{KVCCEnumerator, KvccStats, Variant}
+import repro.core.{KVCCEnumerator, Variant}
 import repro.graph.AdjGraph
 
 /** Distributed KVCC-ENUM driver (DESIGN.md §4).
@@ -20,42 +20,19 @@ object KVCCSpark {
     * vertex-id vectors.
     */
   def enumerate(edges: DataFrame, k: Int, variant: Variant = Variant.Star): Vector[Vector[Long]] = {
-    val comps = componentEdgeLists(edges, k)
+    val core = KCoreSpark.kCore(edges, k)
+    val labels = ConnectedComponentsSpark.viaGraphX(core)
+    // One (component, edge list) per post-core connected component.
+    val comps = core
+      .join(labels.withColumnRenamed("vertex", "src"), "src")
+      .select("component", "src", "dst")
+      .rdd
+      .map(r => (r.getLong(0), (r.getLong(1), r.getLong(2))))
+      .groupByKey()
     val result = comps.flatMap { case (_, es) =>
       val g = AdjGraph.fromEdges(es)
       KVCCEnumerator.enumerate(g, k, variant).map(_.sortedIds.toVector)
     }
     result.collect().toVector.sortBy(v => (v.length, v.mkString(",")))
-  }
-
-  /** Same pipeline, but components are enumerated on the driver so a single
-    * mutable `KvccStats` can aggregate the Table-2 counters.
-    */
-  def enumerateWithStats(
-      edges: DataFrame,
-      k: Int,
-      variant: Variant = Variant.Star): (Vector[Vector[Long]], KvccStats) = {
-    val stats = new KvccStats
-    val comps = componentEdgeLists(edges, k).collect()
-    val out = comps.toVector.flatMap { case (_, es) =>
-      val g = AdjGraph.fromEdges(es)
-      KVCCEnumerator.enumerate(g, k, variant, stats).map(_.sortedIds.toVector)
-    }
-    (out.sortBy(v => (v.length, v.mkString(","))), stats)
-  }
-
-  /** Spark k-core + GraphX CC, returning one (component, edgeList) per
-    * post-core connected component as an RDD.
-    */
-  private def componentEdgeLists(edges: DataFrame, k: Int) = {
-    val core = KCoreSpark.kCore(edges, k)
-    val labels = ConnectedComponentsSpark.viaGraphX(core)
-    val tagged = core
-      .join(labels.withColumnRenamed("vertex", "src"), "src")
-      .select("component", "src", "dst")
-    tagged.rdd
-      .map(r => (r.getLong(0), (r.getLong(1), r.getLong(2))))
-      .groupByKey()
-      .map { case (comp, es) => (comp, es.toArray) }
   }
 }

@@ -43,7 +43,7 @@ class OverlapSpec extends SparkSpec {
       val g = AdjGraph.fromEdges(
         GraphGen.erdosRenyi(12, 0.25, seed) ++ (0 until 11).map(i => (i.toLong, (i + 1).toLong)))
       // Find any true cut via brute force: smallest separator.
-      val cutOpt = GlobalCut.find(g, g.n) // any cut (k = n always admits one unless complete)
+      val cutOpt = GlobalCutStar.find(g, g.n, Variant.Basic) // any cut (k = n always admits one unless complete)
       cutOpt.foreach { cut =>
         val parts = Overlap.partition(g, cut)
         assert(parts.length >= 2)

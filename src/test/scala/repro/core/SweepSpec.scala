@@ -14,6 +14,12 @@ class SweepSpec extends SparkSpec {
     AdjGraph.fromEdges(
       GraphGen.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
 
+  /** Eager strong side-vertex mask over all vertices. */
+  private def strongSideVertices(g: AdjGraph, k: Int): Array[Boolean] = {
+    val ssv = new StrongSideVertex(g, k)
+    Array.tabulate(g.n)(ssv(_))
+  }
+
   /** All vertex cuts of size < k (brute force, tiny graphs). */
   private def smallCuts(g: AdjGraph, k: Int): Seq[Set[Int]] =
     (1 until k).flatMap { size =>
@@ -25,20 +31,20 @@ class SweepSpec extends SparkSpec {
 
   test("in a clique every vertex is a strong side-vertex (small k)") {
     val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1))
-    val ssv = StrongSideVertex.computeAll(g, 3)
+    val ssv = strongSideVertices(g, 3)
     assert(ssv.forall(identity))
   }
 
   test("the center of a star is not a strong side-vertex for k >= 2") {
     val star = AdjGraph.fromEdges((1 to 5).map(i => (0L, i.toLong)))
     val center = star.ids.indexOf(0L)
-    assert(!StrongSideVertex.computeAll(star, 2)(center))
+    assert(!strongSideVertices(star, 2)(center))
   }
 
   for (seed <- 1 to 15; k <- Seq(2, 3)) {
     test(s"Theorem 8 soundness: no strong side-vertex sits in a cut of size < k (seed=$seed, k=$k)") {
       val g = randomConnected(8 + seed % 3, 0.4, seed * 19)
-      val ssv = StrongSideVertex.computeAll(g, k)
+      val ssv = strongSideVertices(g, k)
       val cuts = smallCuts(g, k)
       for (cut <- cuts; v <- cut) {
         assert(!ssv(v), s"strong side-vertex ${g.ids(v)} inside cut ${cut.map(g.ids(_))}")
@@ -49,7 +55,7 @@ class SweepSpec extends SparkSpec {
   test("lazy evaluation order does not change the verdicts") {
     for (seed <- 1 to 5) {
       val g = randomConnected(12, 0.5, seed * 3)
-      val eager = StrongSideVertex.computeAll(g, 3)
+      val eager = strongSideVertices(g, 3)
       val lazySsv = new StrongSideVertex(g, 3)
       val order = new scala.util.Random(seed).shuffle((0 until g.n).toVector)
       order.foreach(v => assert(lazySsv(v) == eager(v)))
@@ -84,7 +90,7 @@ class SweepSpec extends SparkSpec {
       val k = 3
       val g = randomConnected(9, 0.5, seed * 41)
       val fn = new FlowNetwork(g)
-      val ssv = StrongSideVertex.computeAll(g, k)
+      val ssv = strongSideVertices(g, k)
       def conn(a: Int, b: Int) =
         a == b || LocalConnectivity.connectivityUpTo(fn, g, a, b, k) >= k
       for (b <- 0 until g.n if ssv(b); a <- 0 until g.n; c <- 0 until g.n) {

@@ -31,22 +31,6 @@ class CCSparkSpec extends SparkSpec {
     }
   }
 
-  for (seed <- 1 to 5) {
-    test(s"DataFrame label propagation matches the local kernel (seed=$seed)") {
-      val edges = sparseEdges(seed + 50)
-      val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
-      assert(collectLabels(ConnectedComponentsSpark.viaDataFrame(canon)) == localLabels(edges))
-    }
-  }
-
-  test("GraphX and DataFrame implementations agree") {
-    val edges = sparseEdges(99)
-    val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
-    assert(
-      collectLabels(ConnectedComponentsSpark.viaGraphX(canon)) ==
-        collectLabels(ConnectedComponentsSpark.viaDataFrame(canon)))
-  }
-
   test("CC labels match a DuckDB recursive-CTE oracle") {
     val edges = Seq((1L, 2L), (2L, 3L), (5L, 6L), (7L, 8L), (8L, 9L), (9L, 7L))
     val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))

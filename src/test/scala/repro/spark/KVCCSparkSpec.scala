@@ -40,14 +40,6 @@ class KVCCSparkSpec extends SparkSpec {
     assert(got.nonEmpty)
   }
 
-  test("enumerateWithStats returns the same result plus counters") {
-    val k = 4
-    val edges = plantedEdges(11, blocks = 3, k = k)
-    val (got, stats) = KVCCSpark.enumerateWithStats(EdgeOps.toDF(spark, edges), k, Variant.Star)
-    assert(got == localReference(edges, k))
-    assert(stats.globalCutCalls > 0)
-  }
-
   test("empty result when k exceeds every block's connectivity") {
     val edges = plantedEdges(13, blocks = 2, k = 3)
     val got = KVCCSpark.enumerate(EdgeOps.toDF(spark, edges), 30, Variant.Star)
