@@ -15,7 +15,6 @@ object LocalConnectivity {
     */
   def locCut(fn: FlowNetwork, g: AdjGraph, u: Int, v: Int, k: Int): Option[Array[Int]] = {
     if (u == v || g.hasEdge(u, v)) return None
-    fn.reset()
     val lambda = fn.maxFlowUpTo(u, v, k)
     if (lambda >= k) None
     else Some(fn.minCutVertices(u))
@@ -24,10 +23,7 @@ object LocalConnectivity {
   /** κ(u,v) capped at `cap` (+∞ collapses to `cap` for adjacent pairs). */
   def connectivityUpTo(fn: FlowNetwork, g: AdjGraph, u: Int, v: Int, cap: Int): Int = {
     if (u == v || g.hasEdge(u, v)) cap
-    else {
-      fn.reset()
-      fn.maxFlowUpTo(u, v, cap)
-    }
+    else fn.maxFlowUpTo(u, v, cap)
   }
 }
 

@@ -33,7 +33,9 @@ object Variant {
 final class KvccStats extends Serializable {
   var globalCutCalls: Long = 0
   var partitions: Long = 0
-  var flowTests: Long = 0 // actual max-flow computations (both phases)
+  // LOC-CUT tests on non-adjacent pairs (both phases), whether the
+  // common-neighbour seed or an augmenting BFS answers them.
+  var flowTests: Long = 0
   var phase1Processed: Long = 0
   var phase1Tested: Long = 0  // Non-Pru: reached LOC-CUT in phase 1
   var prunedNs1: Long = 0     // neighbor sweep rule 1 (strong side-vertex)

@@ -97,17 +97,17 @@ final class AdjGraph private[graph] (
 
   /** Induced subgraph on the given local vertex indices (original ids kept). */
   def induced(keep: Array[Int]): AdjGraph = {
-    val map = new mutable.HashMap[Int, Int]()
     val sorted = keep.clone()
     java.util.Arrays.sort(sorted)
+    val map = Array.fill(n)(-1) // parent index → new index, −1 if dropped
     var i = 0
-    while (i < sorted.length) { map.put(sorted(i), i); i += 1 }
+    while (i < sorted.length) { map(sorted(i)) = i; i += 1 }
     val newIds = sorted.map(ids)
     val degs = new Array[Int](sorted.length)
     i = 0
     while (i < sorted.length) {
       val v = sorted(i)
-      foreachNeighbor(v) { w => if (map.contains(w)) degs(i) += 1 }
+      foreachNeighbor(v) { w => if (map(w) >= 0) degs(i) += 1 }
       i += 1
     }
     val newOffsets = new Array[Int](sorted.length + 1)
@@ -119,10 +119,8 @@ final class AdjGraph private[graph] (
     while (i < sorted.length) {
       val v = sorted(i)
       foreachNeighbor(v) { w =>
-        map.get(w) match {
-          case Some(j) => newAdj(cursor(i)) = j; cursor(i) += 1
-          case None    => ()
-        }
+        val j = map(w)
+        if (j >= 0) { newAdj(cursor(i)) = j; cursor(i) += 1 }
       }
       i += 1
     }
