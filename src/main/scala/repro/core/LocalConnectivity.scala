@@ -57,13 +57,14 @@ object VertexConnectivity {
       v += 1
     }
     // Phase 2: all non-adjacent pairs of neighbors of u.
-    val nb = g.neighbors(u)
-    var i = 0
-    while (i < nb.length) {
+    val adj = g.adj
+    val end = g.offsets(u + 1)
+    var i = g.offsets(u)
+    while (i < end) {
       var j = i + 1
-      while (j < nb.length) {
-        if (!g.hasEdge(nb(i), nb(j))) {
-          val c = LocalConnectivity.connectivityUpTo(fn, g, nb(i), nb(j), best)
+      while (j < end) {
+        if (!g.hasEdge(adj(i), adj(j))) {
+          val c = LocalConnectivity.connectivityUpTo(fn, g, adj(i), adj(j), best)
           if (c < best) best = c
         }
         j += 1

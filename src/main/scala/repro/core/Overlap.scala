@@ -21,7 +21,8 @@ object Overlap {
     val comps = GraphOps.connectedComponents(remainder)
     require(
       comps.length >= 2,
-      s"OVERLAP-PARTITION: removing ${cut.length} vertices left ${comps.length} component(s) — not a cut")
+      s"OVERLAP-PARTITION: removing ${cut.length} vertices (ids ${cut.map(g.ids).mkString(", ")}) " +
+        s"from a piece with n=${g.n}, m=${g.m} left ${comps.length} component(s) — not a cut")
     comps.map { comp =>
       // Map remainder-local indices back to g-local indices, then add S.
       val members = new Array[Int](comp.length + cut.length)

@@ -1,21 +1,34 @@
 package repro.core
 
 import repro.graph.AdjGraph
-import scala.collection.mutable
 
-/** Sparse certificate of k-vertex connectivity (Section 4.2, Theorem 5).
+/** Sparse certificate of k-vertex connectivity (Section 4.2, Theorem 5) and
+  * side-groups (Section 5.2, Theorem 10), from one Nagamochi–Ibaraki scan.
   *
-  * Runs scan-first search (we use BFS, a special case as the paper notes)
-  * k times; pass i extracts a spanning forest `F_i` of the edges not taken
-  * by earlier passes. `F_1 ∪ … ∪ F_k` is a *strong* certificate
-  * (Cheriyan–Kao–Thurimella): for any vertex set S with |S| < k, the
-  * certificate minus S has the same connected components as G minus S — so a
-  * small vertex cut found on the certificate is a cut of G.
+  * The scan (Nagamochi & Ibaraki, Algorithmica 7, 1992) keeps a count r(v)
+  * per vertex and repeatedly scans the unscanned vertex with the largest r:
+  * each edge to an unscanned neighbour y is labelled `++r(y)`. Label class
+  * `F_i` = the edges labelled i. `r(y) = i−1` means y has been reached in
+  * forests 1..i−1 but not yet in `F_i`; so "reached in `F_i`" is `r ≥ i`,
+  * and the max-r rule scans a vertex already reached in `F_i` whenever one
+  * exists, starting a new tree of `F_i` only when none does. Each `F_i` is
+  * therefore a scan-first search forest of G − F_1 − … − F_{i−1}
+  * (Cheriyan–Kao–Thurimella, SIAM J. Comput. 22, 1993), the forests the
+  * paper's theorems are stated for:
   *
-  * Side-groups (Section 5.2, Theorem 10): the connected components of the
-  * last forest `F_k`. Any two vertices in the same component of `F_k` are
-  * local-k-connected, so each component is a side-group; only groups with
-  * more than k vertices are useful for sweeping and are returned.
+  *  - `F_1 ∪ … ∪ F_k` is a *strong* certificate (Theorem 5): for any vertex
+  *    set S with |S| < k, the certificate minus S has the same connected
+  *    components as G minus S, so a small vertex cut found on the
+  *    certificate is a cut of G.
+  *  - Any two vertices in the same component of `F_k` are local-k-connected
+  *    (Theorem 10), so each component is a side-group; only groups with
+  *    more than k vertices are useful for sweeping and are returned.
+  *
+  * Cost O(n + m) per call: a bucket queue over r, capped at k since labels
+  * above k only mean "not in the certificate"; one pass over the slots to
+  * give each edge's twin slot its label; one to copy the certificate; and
+  * a BFS over the `F_k` slots for the side-groups. k separate scan-first searches, as
+  * in the paper, would cost O(k·m).
   */
 object SparseCertificate {
 
@@ -27,112 +40,125 @@ object SparseCertificate {
   def compute(g: AdjGraph, k: Int): Cert = {
     require(k >= 1, s"k must be >= 1, got $k")
     val n = g.n
-    if (n == 0) return Cert(g, Vector.empty)
+    val off = g.offsets
+    val adj = g.adj
+    val label = forestLabels(g, k)
 
-    // Edge-id view of the graph: edge e = (edgeU(e), edgeV(e)).
-    val m = g.m
-    val edgeU = new Array[Int](m)
-    val edgeV = new Array[Int](m)
-    // Incident edge ids per vertex, CSR.
-    val incOffsets = new Array[Int](n + 1)
+    // Certificate: the labelled slots in slot order, so lists stay sorted.
+    val certOffsets = new Array[Int](n + 1)
+    var s = 0
     var v = 0
-    while (v < n) { incOffsets(v + 1) = incOffsets(v) + g.degree(v); v += 1 }
-    val incEdge = new Array[Int](incOffsets(n))
-    val cursor = incOffsets.clone()
-    var eid = 0
-    v = 0
     while (v < n) {
-      g.foreachNeighbor(v) { w =>
-        if (v < w) {
-          edgeU(eid) = v; edgeV(eid) = w
-          incEdge(cursor(v)) = eid; cursor(v) += 1
-          incEdge(cursor(w)) = eid; cursor(w) += 1
-          eid += 1
-        }
-      }
+      certOffsets(v + 1) = certOffsets(v)
+      while (s < off(v + 1)) { if (label(s) > 0) certOffsets(v + 1) += 1; s += 1 }
       v += 1
     }
-
-    val inCert = new Array[Boolean](m) // edge assigned to some forest F_i
-    val visited = new Array[Int](n)    // pass stamp, 0 = never
-    val queue = new Array[Int](n)
-    var lastForestComp: Array[Int] = null
-
-    var pass = 1
-    while (pass <= k) {
-      java.util.Arrays.fill(visited, 0)
-      val comp = if (pass == k) new Array[Int](n) else null
-      var root = 0
-      var compId = 0
-      while (root < n) {
-        if (visited(root) == 0) {
-          visited(root) = pass
-          if (comp != null) comp(root) = compId
-          var qh = 0; var qt = 0
-          queue(qt) = root; qt += 1
-          while (qh < qt) {
-            val x = queue(qh); qh += 1
-            var i = incOffsets(x)
-            val end = incOffsets(x + 1)
-            while (i < end) {
-              val e = incEdge(i)
-              if (!inCert(e)) {
-                val y = if (edgeU(e) == x) edgeV(e) else edgeU(e)
-                if (visited(y) == 0) {
-                  visited(y) = pass
-                  inCert(e) = true // tree edge of F_pass — removed from G_pass
-                  if (comp != null) comp(y) = compId
-                  queue(qt) = y; qt += 1
-                }
-              }
-              i += 1
-            }
-          }
-          compId += 1
-        }
-        root += 1
-      }
-      if (comp != null) lastForestComp = comp
-      pass += 1
-    }
-
-    // Certificate adjacency from the union of forests.
-    val certDeg = new Array[Int](n)
-    eid = 0
-    while (eid < m) {
-      if (inCert(eid)) { certDeg(edgeU(eid)) += 1; certDeg(edgeV(eid)) += 1 }
-      eid += 1
-    }
-    val certOffsets = new Array[Int](n + 1)
-    v = 0
-    while (v < n) { certOffsets(v + 1) = certOffsets(v) + certDeg(v); v += 1 }
     val certAdj = new Array[Int](certOffsets(n))
-    val ccur = certOffsets.clone()
-    eid = 0
-    while (eid < m) {
-      if (inCert(eid)) {
-        val a = edgeU(eid); val b = edgeV(eid)
-        certAdj(ccur(a)) = b; ccur(a) += 1
-        certAdj(ccur(b)) = a; ccur(b) += 1
-      }
-      eid += 1
+    var c = 0
+    s = 0
+    while (s < adj.length) {
+      if (label(s) > 0) { certAdj(c) = adj(s); c += 1 }
+      s += 1
     }
-    v = 0
-    while (v < n) { java.util.Arrays.sort(certAdj, certOffsets(v), certOffsets(v + 1)); v += 1 }
-    val cert = AdjGraph.unsafe(g.ids, certOffsets, certAdj)
 
-    // Side-groups: components of F_k with more than k members.
-    val groups: Vector[Array[Int]] =
-      if (lastForestComp == null) Vector.empty
-      else {
-        val byComp = new mutable.HashMap[Int, mutable.ArrayBuilder.ofInt]()
-        var i = 0
-        while (i < n) {
-          byComp.getOrElseUpdate(lastForestComp(i), new mutable.ArrayBuilder.ofInt) += i
-          i += 1
+    // Side-groups: components of F_k with more than k members, by BFS over
+    // the label-k slots. Each BFS fills one segment of `queue`: its group.
+    val seen = new Array[Boolean](n)
+    val queue = new Array[Int](n)
+    val groups = Vector.newBuilder[Array[Int]]
+    var qt = 0
+    var root = 0
+    while (root < n) {
+      if (!seen(root)) {
+        val start = qt
+        seen(root) = true
+        queue(qt) = root; qt += 1
+        var qh = start
+        while (qh < qt) {
+          val x = queue(qh); qh += 1
+          var t = off(x)
+          while (t < off(x + 1)) {
+            val y = adj(t)
+            if (label(t) == k && !seen(y)) { seen(y) = true; queue(qt) = y; qt += 1 }
+            t += 1
+          }
         }
-        byComp.valuesIterator.map(_.result()).filter(_.length > k).toVector
+        if (qt - start > k) groups += java.util.Arrays.copyOfRange(queue, start, qt)
       }
-    Cert(cert, groups)
+      root += 1
+    }
+    Cert(AdjGraph.unsafe(g.ids, certOffsets, certAdj), groups.result())
+  }
+
+  /** Forest index of every CSR slot of `g` (both slots of an edge carry the
+    * same label): i in 1..k for an edge of `F_i`, 0 for an edge in no `F_i`
+    * with i ≤ k. Ties in r go to the vertex that reached its count last,
+    * and the first scan is vertex 0, so labels depend only on `g`.
+    */
+  private[core] def forestLabels(g: AdjGraph, k: Int): Array[Int] = {
+    val n = g.n
+    val off = g.offsets
+    val adj = g.adj
+    val label = new Array[Int](adj.length)
+
+    // Bucket queue: doubly linked lists of unscanned vertices per r in 0..k.
+    val r = new Array[Int](n)
+    val next = new Array[Int](n)
+    val prev = new Array[Int](n)
+    val head = Array.fill(k + 1)(-1)
+    def push(v: Int): Unit = {
+      val b = r(v)
+      prev(v) = -1; next(v) = head(b)
+      if (head(b) >= 0) prev(head(b)) = v
+      head(b) = v
+    }
+    def unlink(v: Int): Unit = {
+      if (prev(v) >= 0) next(prev(v)) = next(v) else head(r(v)) = next(v)
+      if (next(v) >= 0) prev(next(v)) = prev(v)
+    }
+    val scanned = new Array[Boolean](n)
+    var v = n - 1
+    while (v >= 0) { push(v); v -= 1 }
+
+    var top = 0
+    var left = n
+    while (left > 0) {
+      while (head(top) < 0) top -= 1
+      val x = head(top)
+      unlink(x)
+      scanned(x) = true
+      left -= 1
+      var s = off(x)
+      while (s < off(x + 1)) {
+        val y = adj(s)
+        if (!scanned(y) && r(y) < k) {
+          unlink(y); r(y) += 1; push(y)
+          if (r(y) > top) top = r(y)
+          label(s) = r(y)
+        }
+        s += 1
+      }
+    }
+
+    // Twin slots: the slot of x in y's list (x < y) is y's next slot below
+    // y, since lists are sorted and x runs upwards. At most one of the two
+    // holds a label; the other is still 0.
+    val cursor = java.util.Arrays.copyOf(off, n)
+    var x = 0
+    while (x < n) {
+      var s = off(x)
+      while (s < off(x + 1)) {
+        val y = adj(s)
+        if (y > x) {
+          val t = cursor(y)
+          cursor(y) += 1
+          val l = math.max(label(s), label(t))
+          label(s) = l; label(t) = l
+        }
+        s += 1
+      }
+      x += 1
+    }
+    label
   }
 }

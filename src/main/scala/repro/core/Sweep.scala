@@ -84,13 +84,14 @@ final class StrongSideVertex(g: AdjGraph, k: Int) {
     case 1 => true
     case 2 => false
     case _ =>
-      val nb = g.neighbors(u)
+      val adj = g.adj
+      val end = g.offsets(u + 1)
       var good = true
-      var i = 0
-      while (good && i < nb.length) {
+      var i = g.offsets(u)
+      while (good && i < end) {
         var j = i + 1
-        while (good && j < nb.length) {
-          if (!ok(nb(i), nb(j))) good = false
+        while (good && j < end) {
+          if (!ok(adj(i), adj(j))) good = false
           j += 1
         }
         i += 1
@@ -202,15 +203,10 @@ object GlobalCutStar {
 
     // Phase 1. With a sweep on, in non-ascending distance from u: far
     // vertices are the likeliest to sit across a cut, so the cut is found
-    // early. The stable sort keeps index order within a distance (the
-    // per-component invocation guarantees every vertex is reachable from u).
-    // VCCE tests in index order.
-    val others = Array.range(0, n).filter(_ != u)
+    // early. VCCE tests in index order.
     val order =
-      if (sweeping) {
-        val dist = GraphOps.bfsDistances(cert, u)
-        others.sortBy(v => -dist(v))
-      } else others
+      if (sweeping) farthestFirst(GraphOps.bfsDistances(cert, u), u)
+      else Array.range(0, n).filter(_ != u)
 
     var idx = 0
     while (idx < order.length) {
@@ -236,12 +232,13 @@ object GlobalCutStar {
     // Phase 2: only needed when the source might itself be in a cut. VCCE
     // does not evaluate strong side-vertices and always runs it.
     if (!sweeping || !ssv(u)) {
-      val nb = cert.neighbors(u)
-      var i = 0
-      while (i < nb.length) {
+      val adj = cert.adj
+      val end = cert.offsets(u + 1)
+      var i = cert.offsets(u)
+      while (i < end) {
         var j = i + 1
-        while (j < nb.length) {
-          val a = nb(i); val b = nb(j)
+        while (j < end) {
+          val a = adj(i); val b = adj(j)
           // Group sweep rule 3: same side-group ⇒ local-k-connected.
           val sameGroup = variant.groupSweep && groupOf(a) >= 0 && groupOf(a) == groupOf(b)
           if (!sameGroup) {
@@ -255,6 +252,33 @@ object GlobalCutStar {
       }
     }
     None
+  }
+
+  /** Every vertex but `u`, by non-ascending `dist` and in index order
+    * within a distance: a counting sort. Unreached vertices (−1) go last,
+    * though the per-component invocation reaches every vertex from u.
+    */
+  private def farthestFirst(dist: Array[Int], u: Int): Array[Int] = {
+    val n = dist.length
+    var maxD = 0
+    var v = 0
+    while (v < n) { if (dist(v) > maxD) maxD = dist(v); v += 1 }
+    // Bucket maxD − dist: 0 for the farthest, maxD + 1 for unreached.
+    val start = new Array[Int](maxD + 3)
+    v = 0
+    while (v < n) { if (v != u) start(maxD - dist(v) + 1) += 1; v += 1 }
+    var b = 0
+    while (b <= maxD + 1) { start(b + 1) += start(b); b += 1 }
+    val order = new Array[Int](n - 1)
+    v = 0
+    while (v < n) {
+      if (v != u) {
+        val bv = maxD - dist(v)
+        order(start(bv)) = v; start(bv) += 1
+      }
+      v += 1
+    }
+    order
   }
 }
 

@@ -24,13 +24,6 @@ final class AdjGraph private[graph] (
   /** Degree of local vertex `v`. */
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Sorted neighbor local indices of `v` (a cheap array slice view). */
-  def neighbors(v: Int): IndexedSeq[Int] = new IndexedSeq[Int] {
-    private val base = offsets(v)
-    def length: Int = offsets(v + 1) - base
-    def apply(i: Int): Int = adj(base + i)
-  }
-
   /** Apply `f` to every neighbor of `v` without allocation. */
   @inline def foreachNeighbor(v: Int)(f: Int => Unit): Unit = {
     var i = offsets(v)

@@ -135,12 +135,12 @@ object GraphOps {
       val d = g.degree(u)
       if (d >= 2) {
         var tri = 0L
-        val nb = g.neighbors(u)
-        var i = 0
-        while (i < nb.length) {
+        val end = g.offsets(u + 1)
+        var i = g.offsets(u)
+        while (i < end) {
           var j = i + 1
-          while (j < nb.length) {
-            if (g.hasEdge(nb(i), nb(j))) tri += 1
+          while (j < end) {
+            if (g.hasEdge(g.adj(i), g.adj(j))) tri += 1
             j += 1
           }
           i += 1

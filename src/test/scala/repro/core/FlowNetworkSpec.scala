@@ -82,8 +82,10 @@ class FlowNetworkSpec extends SparkSpec {
   private def nonAdjacentPairs(g: AdjGraph): Seq[(Int, Int)] =
     for (u <- 0 until g.n; v <- u + 1 until g.n if !g.hasEdge(u, v)) yield (u, v)
 
-  private def commonNeighbours(g: AdjGraph, u: Int, v: Int): Int =
-    g.neighbors(u).toSet.intersect(g.neighbors(v).toSet).size
+  private def commonNeighbours(g: AdjGraph, u: Int, v: Int): Int = {
+    def nb(x: Int) = g.adj.slice(g.offsets(x), g.offsets(x + 1)).toSet
+    nb(u).intersect(nb(v)).size
+  }
 
   /** Plain Edmonds–Karp on the split graph, with no seed and a fresh
     * capacity matrix: (max flow, vertices whose split arc crosses the cut of

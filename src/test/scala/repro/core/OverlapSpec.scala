@@ -38,6 +38,16 @@ class OverlapSpec extends SparkSpec {
     }
   }
 
+  test("a rejected non-cut names the piece's size and the cut's original ids") {
+    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1, offset = 100L)) // K6, ids 100..105
+    val e = intercept[IllegalArgumentException] {
+      Overlap.partition(g, Array(g.ids.indexOf(101L), g.ids.indexOf(104L)))
+    }
+    assert(e.getMessage.contains("removing 2 vertices (ids 101, 104)"), e.getMessage)
+    assert(e.getMessage.contains("n=6, m=15"), e.getMessage)
+    assert(e.getMessage.contains("left 1 component(s)"), e.getMessage)
+  }
+
   for (seed <- 1 to 10) {
     test(s"partition invariants on random graphs (seed=$seed)") {
       val g = AdjGraph.fromEdges(

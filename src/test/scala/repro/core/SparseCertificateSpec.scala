@@ -3,13 +3,32 @@ package repro.core
 import repro.SparkSpec
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
-import scala.util.Random
 
 class SparseCertificateSpec extends SparkSpec {
 
   private def randomConnected(n: Int, p: Double, seed: Long): AdjGraph =
     AdjGraph.fromEdges(
       GraphGen.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
+
+  /** The edges of `g` whose forest label satisfies `keep`, on all n vertices. */
+  private def labelled(g: AdjGraph, label: Array[Int])(keep: Int => Boolean): AdjGraph =
+    AdjGraph.fromLocalEdges(g.n,
+      for (x <- 0 until g.n; s <- g.offsets(x) until g.offsets(x + 1)
+           if g.adj(s) > x && keep(label(s))) yield (x, g.adj(s)))
+
+  private def componentSets(g: AdjGraph): Set[Set[Int]] =
+    GraphOps.connectedComponents(g).map(_.toSet).toSet
+
+  /** For every S with |S| < k: G − S and cert − S have the same components. */
+  private def assertStrong(g: AdjGraph, cert: AdjGraph, k: Int): Unit =
+    for (size <- 0 until k; s <- (0 until g.n).combinations(size)) {
+      val keep = (0 until g.n).filter(v => !s.contains(v)).toArray
+      val gComps = GraphOps.connectedComponents(g.induced(keep))
+        .map(_.map(keep(_)).toSet).toSet
+      val cComps = GraphOps.connectedComponents(cert.induced(keep))
+        .map(_.map(keep(_)).toSet).toSet
+      assert(gComps == cComps, s"S=${s.toList}")
+    }
 
   test("certificate is a subgraph with at most k(n-1) edges") {
     for (seed <- 1 to 10; k <- Seq(1, 2, 3, 5)) {
@@ -53,18 +72,50 @@ class SparseCertificateSpec extends SparkSpec {
     test(s"STRONG certificate: G-S and SC-S have identical components for |S|<k (seed=$seed)") {
       val k = 3
       val g = randomConnected(10, 0.4, seed * 17)
+      assertStrong(g, SparseCertificate.compute(g, k).graph, k)
+    }
+  }
+
+  for (seed <- 1 to 12) {
+    test(s"STRONG certificate at k=4: G-S and SC-S have identical components for |S|<4 (seed=$seed)") {
+      val k = 4
+      val g = randomConnected(11, 0.7, seed * 19)
       val cert = SparseCertificate.compute(g, k).graph
-      val rnd = new Random(seed)
-      // All subsets of size < k on a small graph.
-      for (size <- 0 until k; s <- (0 until g.n).combinations(size)) {
-        val keep = (0 until g.n).filter(v => !s.contains(v)).toArray
-        val gComps = GraphOps.connectedComponents(g.induced(keep))
-          .map(_.map(keep(_)).toSet).toSet
-        val cComps = GraphOps.connectedComponents(cert.induced(keep))
-          .map(_.map(keep(_)).toSet).toSet
-        assert(gComps == cComps, s"S=${s.toList}")
+      assert(cert.m < g.m, s"certificate kept all ${g.m} edges")
+      assertStrong(g, cert, k)
+    }
+  }
+
+  for (seed <- 1 to 10) {
+    test(s"label class F_i is a maximal forest of G - F_1 - ... - F_(i-1), k up to 6 (seed=$seed)") {
+      val g = randomConnected(16 + seed, 0.2 + 0.04 * seed, seed * 31)
+      for (k <- 1 to 6) {
+        val label = SparseCertificate.forestLabels(g, k)
+        for (x <- 0 until g.n; s <- g.offsets(x) until g.offsets(x + 1)) {
+          val y = g.adj(s)
+          val twin = g.offsets(y) + g.adj.slice(g.offsets(y), g.offsets(y + 1)).indexOf(x)
+          assert(label(s) >= 0 && label(s) <= k, s"k=$k slot ($x,$y) label ${label(s)}")
+          assert(label(s) == label(twin), s"k=$k ($x,$y) labelled ${label(s)} but ($y,$x) ${label(twin)}")
+        }
+        for (i <- 1 to k) {
+          val forest = labelled(g, label)(_ == i)
+          val rest = labelled(g, label)(l => l >= i || l == 0)
+          val comps = componentSets(forest)
+          assert(forest.m == g.n - comps.size, s"k=$k: F_$i has a cycle")
+          assert(comps == componentSets(rest), s"k=$k: F_$i does not span G - F_<$i")
+        }
       }
-      rnd.nextInt() // silence unused warning
+    }
+  }
+
+  test("certificate is the labelled edges, side-groups the components of F_k larger than k") {
+    for (seed <- 1 to 10; k <- 1 to 5) {
+      val g = randomConnected(20, 0.35, seed * 7)
+      val label = SparseCertificate.forestLabels(g, k)
+      val SparseCertificate.Cert(cert, groups) = SparseCertificate.compute(g, k)
+      assert(cert.edgeList == labelled(g, label)(_ > 0).edgeList, s"seed=$seed k=$k")
+      val expected = componentSets(labelled(g, label)(_ == k)).filter(_.size > k)
+      assert(groups.map(_.toSet).toSet == expected, s"seed=$seed k=$k")
     }
   }
 
@@ -84,14 +135,37 @@ class SparseCertificateSpec extends SparkSpec {
     }
   }
 
+  test("side-groups at k = 2, 3, 4 occur and are pairwise local-k-connected in G") {
+    for (k <- Seq(2, 3, 4)) {
+      var pairs = 0
+      for (seed <- 1 to 20) {
+        val g = randomConnected(14, 0.25 + 0.01 * seed, seed * 37)
+        val fn = new FlowNetwork(g)
+        SparseCertificate.compute(g, k).sideGroups.foreach { grp =>
+          for (i <- grp.indices; j <- i + 1 until grp.length) {
+            val c = LocalConnectivity.connectivityUpTo(fn, g, grp(i), grp(j), k)
+            assert(c >= k, s"seed=$seed k=$k: (${grp(i)},${grp(j)}) has κ=$c")
+            pairs += 1
+          }
+        }
+      }
+      assert(pairs > 0, s"no side-group at k=$k")
+    }
+  }
+
   test("side-groups only contain groups larger than k") {
-    for (seed <- 1 to 5; k <- Seq(2, 3, 4)) {
-      val g = randomConnected(14, 0.5, seed)
-      val groups = SparseCertificate.compute(g, k).sideGroups
-      groups.foreach(grp => assert(grp.length > k))
-      // Groups are disjoint.
-      val all = groups.flatten
-      assert(all.distinct.length == all.length)
+    for (k <- Seq(2, 3, 4)) {
+      var found = 0
+      for (seed <- 1 to 5) {
+        val g = randomConnected(14, 0.5, seed)
+        val groups = SparseCertificate.compute(g, k).sideGroups
+        groups.foreach(grp => assert(grp.length > k))
+        // Groups are disjoint.
+        val all = groups.flatten
+        assert(all.distinct.length == all.length)
+        found += groups.length
+      }
+      assert(found > 0, s"no side-group at k=$k")
     }
   }
 }

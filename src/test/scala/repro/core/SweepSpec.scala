@@ -76,7 +76,7 @@ class SweepSpec extends SparkSpec {
         w == u || LocalConnectivity.connectivityUpTo(fn, g, u, w, k) >= k
       }
       for (v <- 0 until g.n if v != u) {
-        val witnesses = g.neighbors(v).count(connectedToU)
+        val witnesses = g.adj.slice(g.offsets(v), g.offsets(v + 1)).count(connectedToU)
         if (witnesses >= k) {
           assert(LocalConnectivity.connectivityUpTo(fn, g, u, v, k) >= k,
             s"deposit rule would have swept $v incorrectly")

@@ -37,7 +37,7 @@ class AdjGraphSpec extends SparkSpec {
     val g = AdjGraph.fromEdges(Seq((30L, 10L), (10L, 20L), (30L, 20L), (40L, 10L)))
     assert(g.ids.toSeq == Seq(10L, 20L, 30L, 40L))
     (0 until g.n).foreach { v =>
-      val nb = g.neighbors(v).toVector
+      val nb = g.adj.slice(g.offsets(v), g.offsets(v + 1)).toVector
       assert(nb == nb.sorted)
       assert(nb.distinct == nb)
     }
@@ -72,7 +72,7 @@ class AdjGraphSpec extends SparkSpec {
       val edges = (0 until 80).map(_ => (rnd.nextInt(15).toLong, rnd.nextInt(15).toLong))
       val g = AdjGraph.fromEdges(edges)
       for (u <- 0 until g.n; v <- 0 until g.n) {
-        assert(g.hasEdge(u, v) == g.neighbors(u).contains(v), s"seed=$seed u=$u v=$v")
+        assert(g.hasEdge(u, v) == g.adj.slice(g.offsets(u), g.offsets(u + 1)).contains(v), s"seed=$seed u=$u v=$v")
         assert(g.hasEdge(u, v) == g.hasEdge(v, u))
       }
     }
