@@ -27,8 +27,8 @@ object Variant {
   *
   * The phase-1 counters implement the paper's Table 2 accounting: for each
   * vertex processed by GLOBAL-CUT*'s phase-1 loop, which rule (if any) had
-  * already swept it. Not thread-safe: each run owns its instance, and the
-  * entry points default to a fresh one per call.
+  * already swept it. Not thread-safe: each task of a run owns its instance,
+  * and `+=` sums them when the tasks complete.
   */
 final class KvccStats extends Serializable {
   var globalCutCalls: Long = 0
@@ -41,6 +41,18 @@ final class KvccStats extends Serializable {
   var prunedNs1: Long = 0     // neighbor sweep rule 1 (strong side-vertex)
   var prunedNs2: Long = 0     // neighbor sweep rule 2 (vertex deposit)
   var prunedGs: Long = 0      // group sweep (rules 1 and 2)
+
+  /** Adds every counter of `o` to this one's. */
+  def +=(o: KvccStats): Unit = {
+    globalCutCalls += o.globalCutCalls
+    partitions += o.partitions
+    flowTests += o.flowTests
+    phase1Processed += o.phase1Processed
+    phase1Tested += o.phase1Tested
+    prunedNs1 += o.prunedNs1
+    prunedNs2 += o.prunedNs2
+    prunedGs += o.prunedGs
+  }
 
   def proportionNs1: Double = ratio(prunedNs1)
   def proportionNs2: Double = ratio(prunedNs2)

@@ -17,7 +17,8 @@ import repro.graph.AdjGraph
 object KVCCSpark {
 
   /** All k-VCCs of the graph in `edges` (any (src,dst) table), as sorted
-    * vertex-id vectors.
+    * vertex-id vectors in `KVCCEnumerator.canonicalOrder`. Each executor
+    * task enumerates its component on `spark.task.cpus` threads (default 1).
     */
   def enumerate(edges: DataFrame, k: Int, variant: Variant = Variant.Star): Vector[Vector[Long]] = {
     val core = KCoreSpark.kCore(edges, k)
@@ -29,10 +30,12 @@ object KVCCSpark {
       .rdd
       .map(r => (r.getLong(0), (r.getLong(1), r.getLong(2))))
       .groupByKey()
+    // A task may use the cores of its slot and no more.
+    val threads = edges.sparkSession.sparkContext.getConf.getInt("spark.task.cpus", 1)
     val result = comps.flatMap { case (_, es) =>
       val g = AdjGraph.fromEdges(es)
-      KVCCEnumerator.enumerate(g, k, variant).map(_.sortedIds.toVector)
+      KVCCEnumerator.enumerate(g, k, variant, threads = threads).map(_.sortedIds.toVector)
     }
-    result.collect().toVector.sortBy(v => (v.length, v.mkString(",")))
+    result.collect().toVector.sorted(KVCCEnumerator.canonicalOrder)
   }
 }

@@ -41,6 +41,27 @@ class KVCCEnumSpec extends SparkSpec {
       assert(KVCCEnumerator.enumerate(g, 7, variant).isEmpty, variant.name)
   }
 
+  test("an empty k-core and k >= n return empty without hanging the pool") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val path = AdjGraph.fromEdges((0L until 20L).map(i => (i, i + 1)))
+    val clique = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1))
+    val empty = AdjGraph.fromEdges(Nil)
+    val cases = Seq((path, 2), (path, 5), (clique, 6), (clique, 7), (clique, 50), (empty, 1), (empty, 3))
+    for ((g, k) <- cases; variant <- Variant.all; threads <- Seq(1, 4)) {
+      val stats = new KvccStats
+      val res = Await.result(Future(KVCCEnumerator.enumerate(g, k, variant, stats, threads)), 30.seconds)
+      assert(res.isEmpty, s"n=${g.n} k=$k ${variant.name} threads=$threads")
+      assert(stats.globalCutCalls == 0)
+    }
+  }
+
+  test("threads must be positive") {
+    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1))
+    assertThrows[IllegalArgumentException](KVCCEnumerator.enumerate(g, 2, Variant.Star, threads = 0))
+  }
+
   test("k=1: each connected component with >= 2 vertices is a 1-VCC") {
     val g = AdjGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (5L, 6L)))
     for (variant <- Variant.all) {

@@ -10,6 +10,16 @@ import scala.util.Random
   */
 class KVCCPropertiesSpec extends SparkSpec {
 
+  /** Every `Long` field of a `KvccStats`, found by reflection, so a counter
+    * added later is covered without editing this spec.
+    */
+  private val counterFields =
+    classOf[KvccStats].getDeclaredFields.toVector.filter(_.getType == java.lang.Long.TYPE)
+  counterFields.foreach(_.setAccessible(true))
+
+  private def counters(s: KvccStats): Vector[(String, Long)] =
+    counterFields.map(f => f.getName -> f.getLong(s))
+
   private def mediumPlanted(seed: Long, blocks: Int = 6, k: Int = 4): AdjGraph = {
     val rnd = new Random(seed)
     val specs = Vector.fill(blocks) {
@@ -20,30 +30,81 @@ class KVCCPropertiesSpec extends SparkSpec {
     AdjGraph.fromEdges(planted.edges)
   }
 
-  // --- cross-variant equivalence (the sweeps must never change the result) ---
+  /** One run's k-VCCs as sorted id lists, in the order returned, and its
+    * counters. Every GLOBAL-CUT call either partitions or emits a k-VCC, so
+    * a task whose counters were not summed shows as a missing call.
+    */
+  private def run(g: AdjGraph, k: Int, variant: Variant, threads: Int): (Vector[Vector[Long]], Vector[(String, Long)]) = {
+    val stats = new KvccStats
+    val res = KVCCEnumerator.enumerate(g, k, variant, stats, threads)
+    assert(stats.globalCutCalls == stats.partitions + res.length, stats)
+    (res.map(_.sortedIds.toVector), counters(stats))
+  }
+
+  /** The four variants return the same k-VCCs, in canonical order, and each
+    * returns the same sequence and counters on 1, 2, 4 and 8 threads.
+    */
+  private def assertVariantsAgree(g: AdjGraph, k: Int): Unit = {
+    val (reference, _) = run(g, k, Variant.Basic, 1)
+    assert(reference == reference.sorted(KVCCEnumerator.canonicalOrder), "not in canonical order")
+    for (variant <- Variant.all) {
+      val one = run(g, k, variant, 1)
+      assert(one._1 == reference, s"${variant.name} diverges from VCCE (k=$k)")
+      for (threads <- Seq(2, 4, 8))
+        assert(run(g, k, variant, threads) == one, s"${variant.name} k=$k threads=$threads")
+    }
+  }
+
+  // --- cross-variant equivalence (the sweeps must never change the result,
+  // and the thread count must change neither the result nor the counters) ---
 
   for (seed <- 1 to 15; k <- Seq(3, 4, 5)) {
     test(s"all variants produce the same k-VCC set (seed=$seed, k=$k)") {
-      val g = mediumPlanted(seed, blocks = 5 + seed % 3, k = k)
-      val reference = KVCCEnumerator.canonical(KVCCEnumerator.enumerate(g, k, Variant.Basic))
-      for (variant <- Variant.all.drop(1)) {
-        val got = KVCCEnumerator.canonical(KVCCEnumerator.enumerate(g, k, variant))
-        assert(got == reference, s"${variant.name} diverges from VCCE")
-      }
+      assertVariantsAgree(mediumPlanted(seed, blocks = 5 + seed % 3, k = k), k)
     }
   }
 
   for (seed <- 1 to 10) {
     test(s"variants agree on ER graphs (seed=$seed)") {
       val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(24, 0.3, seed * 7))
-      for (k <- Seq(3, 4)) {
-        val reference = KVCCEnumerator.canonical(KVCCEnumerator.enumerate(g, k, Variant.Basic))
-        for (variant <- Variant.all.drop(1)) {
-          assert(KVCCEnumerator.canonical(KVCCEnumerator.enumerate(g, k, variant)) == reference,
-            s"${variant.name} k=$k")
-        }
-      }
+      for (k <- Seq(3, 4)) assertVariantsAgree(g, k)
     }
+  }
+
+  test("stress: a chain of 200 K_(k+2) blocks gives the same answer and counters 20 times at 4 threads") {
+    // Block b is a clique on ids 3b .. 3b+4; neighbouring blocks share the
+    // k−1 = 2 ids 3b+3, 3b+4, a cut, so every block is its own 3-VCC and the
+    // recursion runs deep (the chain) and wide (the blocks).
+    val k = 3
+    val blocks = 200
+    val stride = (k + 2) - (k - 1)
+    val edges = for {
+      b <- 0 until blocks
+      i <- 0 until k + 2
+      j <- i + 1 until k + 2
+    } yield ((b * stride + i).toLong, (b * stride + j).toLong)
+    val g = AdjGraph.fromEdges(edges)
+    val expected = (0 until blocks)
+      .map(b => Vector.range(b * stride, b * stride + k + 2).map(_.toLong))
+      .sorted(KVCCEnumerator.canonicalOrder)
+    val first = run(g, k, Variant.Star, 4)
+    assert(first._1 == expected)
+    assert(first._2.toMap.apply("partitions") >= blocks - 1)
+    for (_ <- 1 until 20) assert(run(g, k, Variant.Star, 4) == first)
+  }
+
+  test("KvccStats += sums every counter") {
+    assert(counterFields.length >= 8, counterFields.map(_.getName))
+    val a = new KvccStats
+    val b = new KvccStats
+    for ((f, i) <- counterFields.zipWithIndex) {
+      f.setLong(a, i + 1L)
+      f.setLong(b, 100L * (i + 1))
+    }
+    a += b
+    for ((f, i) <- counterFields.zipWithIndex)
+      assert(f.getLong(a) == 101L * (i + 1), f.getName)
+    assert(counters(b) == counterFields.indices.map(i => counterFields(i).getName -> 100L * (i + 1)))
   }
 
   // --- structural properties of every enumerated k-VCC ---

@@ -53,7 +53,7 @@ class KVCCSparkSpec extends SparkSpec {
     assert(got == localReference(edges, k))
     // Structural sanity on whatever was found.
     got.foreach(v => assert(v.length > k))
-    assert(got == got.sortBy(v => (v.length, v.mkString(","))))
+    assert(got == got.sorted(KVCCEnumerator.canonicalOrder))
     for (i <- got.indices; j <- i + 1 until got.length)
       assert(got(i).toSet.intersect(got(j).toSet).size < k)
     // All variants agree through the distributed path too.
