@@ -102,10 +102,71 @@ object Datasets {
     canonicalize(blockEdges ++ bgEdges ++ hubEdges ++ attach.result())
   }
 
-  /** Dedup + drop self loops + orient (low, high). */
-  def canonicalize(edges: Seq[(Long, Long)]): Vector[(Long, Long)] =
-    edges.iterator
-      .filter { case (a, b) => a != b }
-      .map { case (a, b) => if (a < b) (a, b) else (b, a) }
-      .toVector.distinct
+  /** Dedup + drop self loops + orient (low, high), keeping the order of first
+    * occurrence (the order `.distinct` gives), with no boxed key.
+    */
+  def canonicalize(edges: Seq[(Long, Long)]): Vector[(Long, Long)] = {
+    val seen = new PairSet(edges.knownSize)
+    val out = Vector.newBuilder[(Long, Long)]
+    val it = edges.iterator
+    while (it.hasNext) {
+      val e = it.next()
+      val lo = math.min(e._1, e._2)
+      val hi = math.max(e._1, e._2)
+      if (lo != hi && seen.add(lo, hi)) out += ((lo, hi))
+    }
+    out.result()
+  }
+
+  /** A set of pairs (lo, hi) with lo < hi: open addressing with linear
+    * probing over two `Long` arrays, kept at most half full. A slot is empty
+    * while its two halves are equal, which no stored pair is.
+    */
+  private final class PairSet(expected: Int) {
+    private var mask = Integer.highestOneBit(math.max(expected, 8) * 2) * 2 - 1
+    private var lows = new Array[Long](mask + 1)
+    private var highs = new Array[Long](mask + 1)
+    private var size = 0
+
+    /** Adds (lo, hi); false if it was already present. */
+    def add(lo: Long, hi: Long): Boolean = {
+      val i = slot(lo, hi)
+      if (lows(i) != highs(i)) false
+      else {
+        lows(i) = lo; highs(i) = hi; size += 1
+        if (2 * size > mask) grow()
+        true
+      }
+    }
+
+    /** The slot holding (lo, hi), or the empty slot where it belongs. */
+    private def slot(lo: Long, hi: Long): Int = {
+      var i = (mix(lo * 0x9E3779B97F4A7C15L + hi) & mask).toInt
+      while (lows(i) != highs(i) && (lows(i) != lo || highs(i) != hi)) i = (i + 1) & mask
+      i
+    }
+
+    private def grow(): Unit = {
+      val (oldLows, oldHighs) = (lows, highs)
+      mask = 2 * mask + 1
+      lows = new Array[Long](mask + 1)
+      highs = new Array[Long](mask + 1)
+      var j = 0
+      while (j < oldLows.length) {
+        if (oldLows(j) != oldHighs(j)) {
+          val i = slot(oldLows(j), oldHighs(j))
+          lows(i) = oldLows(j); highs(i) = oldHighs(j)
+        }
+        j += 1
+      }
+    }
+
+    /** The 64-bit finaliser of MurmurHash3: every input bit moves the slot. */
+    private def mix(x: Long): Long = {
+      var h = x
+      h ^= h >>> 33; h *= 0xff51afd7ed558ccdL
+      h ^= h >>> 33; h *= 0xc4ceb9fe1a85ec53L
+      h ^ (h >>> 33)
+    }
+  }
 }

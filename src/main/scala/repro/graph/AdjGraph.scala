@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Compact immutable undirected graph in CSR form.
   *
   * Vertices are addressed by dense local indices `0 until n`; `ids(v)` maps a
@@ -129,44 +127,90 @@ object AdjGraph {
   /** Build from an edge list over original `Long` ids.
     *
     * Self-loops are dropped, duplicates (in either direction) merged.
-    * `extraIds` adds isolated vertices not covered by any edge.
+    * `extraIds` adds isolated vertices not covered by any edge; an extra id
+    * that is also an endpoint is not duplicated.
+    *
+    * The result is the unique CSR of the edge set: `ids` sorted ascending,
+    * each adjacency list sorted and duplicate-free. It is built on primitive
+    * arrays in O(m log m) time, as CSR builders such as Ligra do (Shun &
+    * Blelloch, PPoPP 2013): copy the endpoints into two `Long` arrays in one
+    * pass, sort them together with `extraIds` and compact to the unique ids,
+    * map each endpoint to its index by binary search, fill the lists by
+    * counting, then sort each list and squeeze out its duplicates in place.
     */
   def fromEdges(edges: IterableOnce[(Long, Long)], extraIds: IterableOnce[Long] = Nil): AdjGraph = {
-    val es = edges.iterator.filter { case (a, b) => a != b }.map {
-      case (a, b) => if (a < b) (a, b) else (b, a)
-    }.toArray.distinct
-    val idSet = mutable.SortedSet.empty[Long]
-    es.foreach { case (a, b) => idSet += a; idSet += b }
-    extraIds.iterator.foreach(idSet += _)
-    val ids = idSet.toArray
-    val index = new mutable.HashMap[Long, Int]()
+    // 1. Endpoints of the non-loop edges, in input order.
+    var src = new Array[Long](math.max(edges.knownSize, 16))
+    var dst = new Array[Long](src.length)
+    var m = 0
+    val it = edges.iterator
+    while (it.hasNext) {
+      val e = it.next()
+      if (e._1 != e._2) {
+        if (m == src.length) {
+          src = java.util.Arrays.copyOf(src, 2 * m)
+          dst = java.util.Arrays.copyOf(dst, 2 * m)
+        }
+        src(m) = e._1; dst(m) = e._2
+        m += 1
+      }
+    }
+    // 2. Sorted unique ids over both endpoint columns and `extraIds`.
+    val extra = extraIds.iterator.toArray
+    val all = new Array[Long](2 * m + extra.length)
+    System.arraycopy(src, 0, all, 0, m)
+    System.arraycopy(dst, 0, all, m, m)
+    System.arraycopy(extra, 0, all, 2 * m, extra.length)
+    java.util.Arrays.sort(all)
+    var n = 0
     var i = 0
-    while (i < ids.length) { index.put(ids(i), i); i += 1 }
-    val n = ids.length
-    val degs = new Array[Int](n)
-    es.foreach { case (a, b) => degs(index(a)) += 1; degs(index(b)) += 1 }
+    while (i < all.length) {
+      if (n == 0 || all(i) != all(n - 1)) { all(n) = all(i); n += 1 }
+      i += 1
+    }
+    val ids = java.util.Arrays.copyOf(all, n)
+    // 3. Endpoints as local indices.
+    val su = new Array[Int](m)
+    val du = new Array[Int](m)
+    i = 0
+    while (i < m) {
+      su(i) = java.util.Arrays.binarySearch(ids, src(i))
+      du(i) = java.util.Arrays.binarySearch(ids, dst(i))
+      i += 1
+    }
+    // 4. Counting CSR, both directions of every edge, duplicates included.
     val offsets = new Array[Int](n + 1)
     i = 0
-    while (i < n) { offsets(i + 1) = offsets(i) + degs(i); i += 1 }
-    val adjArr = new Array[Int](offsets(n))
-    val cursor = offsets.clone()
-    es.foreach { case (a, b) =>
-      val u = index(a); val v = index(b)
-      adjArr(cursor(u)) = v; cursor(u) += 1
-      adjArr(cursor(v)) = u; cursor(v) += 1
-    }
-    // Sort each adjacency list.
+    while (i < m) { offsets(su(i) + 1) += 1; offsets(du(i) + 1) += 1; i += 1 }
     i = 0
-    while (i < n) { java.util.Arrays.sort(adjArr, offsets(i), offsets(i + 1)); i += 1 }
-    new AdjGraph(ids, offsets, adjArr)
-  }
-
-  /** Build from local-index pairs; vertex ids default to `0L until n`. */
-  def fromLocalEdges(n: Int, edges: Seq[(Int, Int)], ids: Array[Long] = null): AdjGraph = {
-    val theIds = if (ids == null) Array.tabulate(n)(_.toLong) else ids
-    require(theIds.length == n, s"ids.length=${theIds.length} != n=$n")
-    val g = fromEdges(edges.map { case (a, b) => (theIds(a), theIds(b)) }, theIds)
-    g
+    while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
+    val adj = new Array[Int](2 * m)
+    val cursor = java.util.Arrays.copyOf(offsets, n)
+    i = 0
+    while (i < m) {
+      val u = su(i); val v = du(i)
+      adj(cursor(u)) = v; cursor(u) += 1
+      adj(cursor(v)) = u; cursor(v) += 1
+      i += 1
+    }
+    // 5. Sort each list and drop its adjacent duplicates, compacting the
+    // lists leftwards in place; `offsets(v + 1)` is read before it is moved.
+    var w = 0
+    var start = 0
+    var v = 0
+    while (v < n) {
+      val end = offsets(v + 1)
+      java.util.Arrays.sort(adj, start, end)
+      var j = start
+      while (j < end) {
+        if (j == start || adj(j) != adj(j - 1)) { adj(w) = adj(j); w += 1 }
+        j += 1
+      }
+      offsets(v + 1) = w
+      start = end
+      v += 1
+    }
+    new AdjGraph(ids, offsets, if (w == adj.length) adj else java.util.Arrays.copyOf(adj, w))
   }
 
   /** The empty graph. */

@@ -2,7 +2,6 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.graph.AdjGraph
 
 /** DataFrame operations over undirected edge tables.
   *
@@ -63,11 +62,5 @@ object EdgeOps {
   def toDF(spark: SparkSession, edges: Seq[(Long, Long)]): DataFrame = {
     import spark.implicits._
     spark.createDataset(edges).toDF("src", "dst")
-  }
-
-  /** Collect a canonical edge table into the local graph kernel. */
-  def toLocal(canonical: DataFrame): AdjGraph = {
-    val pairs = canonical.collect().map(r => (r.getLong(0), r.getLong(1)))
-    AdjGraph.fromEdges(pairs)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 
@@ -12,7 +12,7 @@ class SparseCertificateSpec extends SparkSpec {
 
   /** The edges of `g` whose forest label satisfies `keep`, on all n vertices. */
   private def labelled(g: AdjGraph, label: Array[Int])(keep: Int => Boolean): AdjGraph =
-    AdjGraph.fromLocalEdges(g.n,
+    TestGraphs.fromLocalEdges(g.n,
       for (x <- 0 until g.n; s <- g.offsets(x) until g.offsets(x + 1)
            if g.adj(s) > x && keep(label(s))) yield (x, g.adj(s)))
 

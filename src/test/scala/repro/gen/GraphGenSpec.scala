@@ -66,6 +66,28 @@ class GraphGenSpec extends SparkSpec {
     assert(e1.toSet.size == e1.size)
   }
 
+  for (seed <- 1 to 10) test(s"Datasets.canonicalize equals distinct in order (seed=$seed)") {
+    val rnd = new Random(seed)
+    // A few hundred ids, many near the ends of Long, so pairs repeat often
+    // and hash probes collide and wrap.
+    val pool = Vector.fill(50 + rnd.nextInt(300))(rnd.nextInt(3) match {
+      case 0 => Long.MinValue + rnd.nextInt(50)
+      case 1 => Long.MaxValue - rnd.nextInt(50)
+      case _ => rnd.nextLong()
+    })
+    def pick(): Long = pool(rnd.nextInt(pool.length))
+    val edges = Vector.fill(rnd.nextInt(5000)) {
+      val a = pick()
+      if (rnd.nextInt(20) == 0) (a, a) else (a, pick())
+    }
+    val input = rnd.shuffle(edges ++ edges.map(_.swap) ++ edges.take(100))
+    val expected = input.iterator.filter { case (a, b) => a != b }
+      .map { case (a, b) => if (a < b) (a, b) else (b, a) }.toVector.distinct
+    // Known size (Vector) and unknown size (List), which grows the table.
+    assert(Datasets.canonicalize(input) == expected)
+    assert(Datasets.canonicalize(input.toList) == expected)
+  }
+
   test("Datasets.generate tracks the scaled statistics loosely") {
     for (spec <- Datasets.all.take(3)) {
       val scale = 1.0 / 256

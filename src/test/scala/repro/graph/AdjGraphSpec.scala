@@ -1,9 +1,88 @@
 package repro.graph
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
+import scala.collection.mutable
 import scala.util.Random
 
 class AdjGraphSpec extends SparkSpec {
+
+  /** The boxed builder that `fromEdges` replaced (sorted set of ids, hash map
+    * from id to index, tuple `distinct`), kept as the differential oracle.
+    */
+  private def referenceFromEdges(edges: IterableOnce[(Long, Long)], extraIds: IterableOnce[Long]): AdjGraph = {
+    val es = edges.iterator.filter { case (a, b) => a != b }.map {
+      case (a, b) => if (a < b) (a, b) else (b, a)
+    }.toArray.distinct
+    val idSet = mutable.SortedSet.empty[Long]
+    es.foreach { case (a, b) => idSet += a; idSet += b }
+    extraIds.iterator.foreach(idSet += _)
+    val ids = idSet.toArray
+    val index = new mutable.HashMap[Long, Int]()
+    var i = 0
+    while (i < ids.length) { index.put(ids(i), i); i += 1 }
+    val n = ids.length
+    val degs = new Array[Int](n)
+    es.foreach { case (a, b) => degs(index(a)) += 1; degs(index(b)) += 1 }
+    val offsets = new Array[Int](n + 1)
+    i = 0
+    while (i < n) { offsets(i + 1) = offsets(i) + degs(i); i += 1 }
+    val adjArr = new Array[Int](offsets(n))
+    val cursor = offsets.clone()
+    es.foreach { case (a, b) =>
+      val u = index(a); val v = index(b)
+      adjArr(cursor(u)) = v; cursor(u) += 1
+      adjArr(cursor(v)) = u; cursor(v) += 1
+    }
+    i = 0
+    while (i < n) { java.util.Arrays.sort(adjArr, offsets(i), offsets(i + 1)); i += 1 }
+    AdjGraph.unsafe(ids, offsets, adjArr)
+  }
+
+  /** Random edges over a small pool of ids (negative, above `Int.MaxValue`,
+    * anywhere in `Long`), so self-loops and duplicates in both directions are
+    * common; the extra ids repeat, hit edge endpoints and add isolated ids.
+    */
+  private def randomInput(rnd: Random): (Vector[(Long, Long)], Vector[Long]) = {
+    val pool = Vector.fill(1 + rnd.nextInt(40))(rnd.nextInt(4) match {
+      case 0 => rnd.nextLong()
+      case 1 => Int.MaxValue.toLong + rnd.nextInt(100)
+      case 2 => -rnd.nextInt(100).toLong
+      case _ => rnd.nextInt(30).toLong
+    })
+    def pick(): Long = pool(rnd.nextInt(pool.length))
+    val edges = Vector.fill(rnd.nextInt(300)) {
+      val a = pick()
+      (a, if (rnd.nextInt(10) == 0) a else pick())
+    }
+    val repeats = edges.filter(_ => rnd.nextInt(3) == 0).map { case (a, b) => (b, a) }
+    val extra = rnd.nextLong() +: Vector.fill(rnd.nextInt(12))(if (rnd.nextBoolean()) pick() else rnd.nextLong())
+    (rnd.shuffle(edges ++ repeats), extra ++ extra.take(3))
+  }
+
+  for (seed <- 1 to 20) test(s"fromEdges equals the reference builder (seed=$seed)") {
+    val rnd = new Random(seed)
+    val (edges, extra) = randomInput(rnd)
+    val cases = Seq(
+      "random" -> (edges, extra),
+      "no extra ids" -> (edges, Vector.empty[Long]),
+      "empty" -> (Vector.empty[(Long, Long)], Vector.empty[Long]),
+      "extra ids only" -> (Vector.empty[(Long, Long)], extra))
+    for ((name, (es, xs)) <- cases) {
+      val ref = referenceFromEdges(es, xs)
+      // Known size, single pass of unknown size, and a groupByKey-like Iterable.
+      val forms = Seq[(String, () => AdjGraph)](
+        "Vector" -> (() => AdjGraph.fromEdges(es, xs)),
+        "Iterator" -> (() => AdjGraph.fromEdges(es.iterator, xs.iterator)),
+        "Iterable" -> (() => AdjGraph.fromEdges(new Iterable[(Long, Long)] { def iterator = es.iterator }, xs)))
+      for ((form, build) <- forms) {
+        val g = build()
+        val what = s"$name input as $form"
+        assert(g.ids.toSeq == ref.ids.toSeq, s"$what: ids")
+        assert(g.offsets.toSeq == ref.offsets.toSeq, s"$what: offsets")
+        assert(g.adj.toSeq == ref.adj.toSeq, s"$what: adj")
+      }
+    }
+  }
 
   test("empty graph") {
     val g = AdjGraph.empty
@@ -95,7 +174,7 @@ class AdjGraphSpec extends SparkSpec {
   }
 
   test("fromLocalEdges uses positional ids") {
-    val g = AdjGraph.fromLocalEdges(4, Seq((0, 1), (1, 2), (2, 3)))
+    val g = TestGraphs.fromLocalEdges(4, Seq((0, 1), (1, 2), (2, 3)))
     assert(g.n == 4)
     assert(g.ids.toSeq == Seq(0L, 1L, 2L, 3L))
   }

@@ -1,7 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 
@@ -105,7 +105,7 @@ class EdgeOpsSpec extends SparkSpec {
 
   test("toLocal round-trips through a DataFrame") {
     val edges = GraphGen.erdosRenyi(22, 0.25, 8)
-    val g = EdgeOps.toLocal(EdgeOps.canonicalize(EdgeOps.toDF(spark, edges)))
+    val g = TestGraphs.toLocal(EdgeOps.canonicalize(EdgeOps.toDF(spark, edges)))
     val direct = AdjGraph.fromEdges(edges)
     assert(g.n == direct.n && g.m == direct.m)
     assert(g.edgeList.toSet == direct.edgeList.toSet)
@@ -115,7 +115,7 @@ class EdgeOpsSpec extends SparkSpec {
     val edges = GraphGen.erdosRenyi(15, 0.3, 9)
     val g = AdjGraph.fromEdges(edges)
     val df = EdgeOps.toDF(spark, g.edgeList)
-    val back = EdgeOps.toLocal(EdgeOps.canonicalize(df))
+    val back = TestGraphs.toLocal(EdgeOps.canonicalize(df))
     assert(back.edgeList.toSet == g.edgeList.toSet)
   }
 }

@@ -1,7 +1,7 @@
 package repro.spark
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.gen.{Datasets, GraphGen}
 import repro.graph.{AdjGraph, GraphOps}
 
@@ -9,7 +9,7 @@ class KCoreSparkSpec extends SparkSpec {
 
   private def check(edges: Seq[(Long, Long)], k: Int): Unit = {
     val df = EdgeOps.toDF(spark, edges)
-    val sparkCore = EdgeOps.toLocal(KCoreSpark.kCore(df, k))
+    val sparkCore = TestGraphs.toLocal(KCoreSpark.kCore(df, k))
     val localCore = GraphOps.kCore(AdjGraph.fromEdges(edges), k)
     // The Spark core drops isolated vertices (edge representation); the local
     // k-core has min degree >= k >= 1 so no isolated vertices exist either.
