@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.exp.{CountsExp, ExpConfig}
 
 /** Figure-11-shaped experiment: number of k-VCCs per dataset and k, produced
-  * by the fully distributed pipeline (Spark k-core + GraphX CC + executor-side
+  * by the fully distributed pipeline (block k-core + forest CC + executor-side
   * enumeration). Persists bench/results/fig11_counts.txt.
   */
 class CountsBench extends SparkSpec {

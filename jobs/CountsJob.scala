@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.exp.CountsExp
 
 /** Entrypoint for the Figure-11-shaped k-VCC counts via the distributed
-  * pipeline (Spark k-core + GraphX CC + executor-side enumeration).
+  * pipeline (`KVCCSpark`: block k-core, forest CC, executor-side enumeration).
   * Env: REPRO_SCALE, REPRO_DATASETS.
   */
 object CountsJob {

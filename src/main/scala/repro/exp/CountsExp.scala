@@ -6,8 +6,9 @@ import repro.gen.Datasets
 import repro.spark.{EdgeOps, KVCCSpark}
 
 /** Figure-11-shaped experiment: the number of k-VCCs per dataset as k varies
-  * — run through the fully distributed pipeline (Spark k-core, GraphX
-  * connected components, per-component enumeration on executors). Expected
+  * — run through the fully distributed pipeline (message-passing k-core,
+  * spanning-forest connected components, per-component enumeration on
+  * executors). Expected
   * shape: counts decrease as k grows.
   */
 object CountsExp {

@@ -1,22 +1,56 @@
 package repro.spark
 
-import org.apache.spark.graphx.{Edge, Graph}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.rdd.RDD
+import repro.graph.{AdjGraph, GraphOps}
 
-/** Distributed connected components (Algorithm 1, line 3): the GraphX
-  * `ConnectedComponents` Pregel program, which labels each vertex by the
-  * minimum vertex id of its component. Tests cross-check it against the local
+/** Distributed connected components (Algorithm 1, line 3) by the
+  * "filtering" technique of Lattanzi, Moseley, Suri & Vassilvitskii (SPAA
+  * 2011): one job reduces each partition's live edges to a spanning forest,
+  * and the driver merges the forests. Both steps run the local kernel's
+  * `GraphOps.connectedComponents`. Each vertex is labelled with the minimum
+  * vertex id of its component. Tests cross-check it against the local
   * kernel and against a DuckDB recursive-CTE oracle.
   */
 object ConnectedComponentsSpark {
 
-  /** (vertex: long, component: long) via GraphX. */
-  def viaGraphX(canonicalEdges: DataFrame): DataFrame = {
-    val spark = canonicalEdges.sparkSession
-    val edgeRdd = canonicalEdges.rdd.map(r => Edge(r.getLong(0), r.getLong(1), 1))
-    val graph = Graph.fromEdges(edgeRdd, defaultValue = 1)
-    val cc = graph.connectedComponents().vertices // (vid, lowest id in component)
-    spark.createDataFrame(cc.map { case (v, c) => (v, c) })
-      .toDF("vertex", "component")
+  /** Component labels: `ids` sorted ascending, and `components(i)` the
+    * minimum id in the component of `ids(i)`.
+    */
+  final class Labels private[spark] (val ids: Array[Long], val components: Array[Long]) extends Serializable {
+    def size: Int = ids.length
+
+    /** The label of a vertex that has one. */
+    def apply(id: Long): Long = components(java.util.Arrays.binarySearch(ids, id))
+  }
+
+  /** Labels of the vertices of the live edges of `blocks`.
+    *
+    * Each partition `p` sends its forest as one `(vertex, root)` pair per
+    * vertex of its live edges `E_p`, so the driver merges at most
+    * Σ_p |V(E_p)| ≤ P·n pairs, where P is the number of partitions and n the
+    * number of vertices with a live edge (after k-core peeling, n_core).
+    */
+  def labels(blocks: RDD[Block]): Labels = {
+    val forests = blocks.map { b =>
+      val ids = b.graph.ids
+      val edges = Array.newBuilder[(Long, Long)]
+      b.foreachLiveEdge((v, w) => edges += ((ids(v), ids(w))))
+      stars(edges.result())
+    }.collect()
+    val merged = stars(forests.iterator.flatMap(f => Iterator.range(0, f.length, 2).map(i => (f(i), f(i + 1)))))
+    val n = merged.length / 2
+    new Labels(Array.tabulate(n)(i => merged(2 * i)), Array.tabulate(n)(i => merged(2 * i + 1)))
+  }
+
+  /** The components of the graph on `edges` as a star forest: one
+    * `(vertex, root)` pair per vertex, in ascending vertex order, where
+    * `root` is the smallest id of the vertex's component.
+    */
+  private def stars(edges: IterableOnce[(Long, Long)]): Array[Long] = {
+    val g = AdjGraph.fromEdges(edges)
+    val out = new Array[Long](2 * g.n)
+    // BFS starts each component at its smallest index, which holds its smallest id.
+    for (c <- GraphOps.connectedComponents(g); v <- c) { out(2 * v) = g.ids(v); out(2 * v + 1) = g.ids(c(0)) }
+    out
   }
 }

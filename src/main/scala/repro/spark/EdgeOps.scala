@@ -58,9 +58,29 @@ object EdgeOps {
       .count()
   }
 
-  /** Edge DataFrame from a local edge list. */
+  /** Edges per slice of `toDF`: 512 KiB of `Long`s, half the task size above
+    * which Spark warns.
+    */
+  private val SliceEdges = 1 << 15
+
+  /** Edge DataFrame from a local edge list, in the list's order. The driver
+    * cuts the list into `defaultParallelism` primitive slices, or more so
+    * that none holds more than `SliceEdges` edges; the rows are made on the
+    * executors, so no plan carries the edges.
+    */
   def toDF(spark: SparkSession, edges: Seq[(Long, Long)]): DataFrame = {
     import spark.implicits._
-    spark.createDataset(edges).toDF("src", "dst")
+    val sc = spark.sparkContext
+    val m = edges.length
+    val slices = math.max(sc.defaultParallelism, (m + SliceEdges - 1) / SliceEdges)
+    val it = edges.iterator
+    val chunks = Vector.tabulate(slices) { s =>
+      val a = new Array[Long](2 * ((s + 1).toLong * m / slices - s.toLong * m / slices).toInt)
+      for (i <- 0 until a.length by 2) { val (u, v) = it.next(); a(i) = u; a(i + 1) = v }
+      a
+    }
+    sc.parallelize(chunks, slices)
+      .flatMap(a => Iterator.range(0, a.length, 2).map(i => (a(i), a(i + 1))))
+      .toDF("src", "dst")
   }
 }

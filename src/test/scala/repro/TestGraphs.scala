@@ -1,7 +1,9 @@
 package repro
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.graph.AdjGraph
+import repro.spark.Block
 
 /** Graph builders that only tests use. */
 object TestGraphs {
@@ -16,4 +18,26 @@ object TestGraphs {
   /** Collect a canonical edge table into the local graph kernel. */
   def toLocal(canonical: DataFrame): AdjGraph =
     AdjGraph.fromEdges(canonical.collect().map(r => (r.getLong(0), r.getLong(1))))
+
+  /** The live edges of a block partitioning, as a local graph. */
+  def toLocal(blocks: RDD[Block]): AdjGraph =
+    AdjGraph.fromEdges(blocks.flatMap { b =>
+      val buf = Vector.newBuilder[(Long, Long)]
+      b.foreachLiveEdge((v, w) => buf += (b.graph.ids(v) -> b.graph.ids(w)))
+      buf.result()
+    }.collect())
+
+  /** Each id `a` moved outside the `Int` range: to `a·7919 − 2^40` (negative)
+    * when `a` is even, to `2^40 + a·7919` when it is odd.
+    */
+  def farIds(edges: Seq[(Long, Long)]): Vector[(Long, Long)] = {
+    def id(a: Long): Long = if (a % 2 == 0) a * 7919 - (1L << 40) else (1L << 40) + a * 7919
+    edges.map { case (a, b) => (id(a), id(b)) }.toVector
+  }
+
+  /** The same graph with each edge also reversed, three repeated and five
+    * self-loops added.
+    */
+  def messy(edges: Seq[(Long, Long)]): Vector[(Long, Long)] =
+    edges.toVector ++ edges.map(_.swap) ++ edges.take(3) ++ edges.take(5).map { case (a, _) => (a, a) }
 }

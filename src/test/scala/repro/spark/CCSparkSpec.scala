@@ -1,7 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 
@@ -17,8 +16,10 @@ class CCSparkSpec extends SparkSpec {
     }.toMap
   }
 
-  private def collectLabels(df: org.apache.spark.sql.DataFrame): Map[Long, Long] =
-    df.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+  private def sparkLabels(edges: Seq[(Long, Long)]): Map[Long, Long] = {
+    val labels = ConnectedComponentsSpark.labels(Blocks.fromEdges(EdgeOps.toDF(spark, edges)))
+    labels.ids.zip(labels.components).toMap
+  }
 
   private def sparseEdges(seed: Long) =
     GraphGen.erdosRenyi(40, 0.04, seed) ++ Seq((100L, 101L), (102L, 103L), (102L, 104L))
@@ -26,17 +27,15 @@ class CCSparkSpec extends SparkSpec {
   for (seed <- 1 to 5) {
     test(s"GraphX CC matches the local kernel (seed=$seed)") {
       val edges = sparseEdges(seed)
-      val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
-      assert(collectLabels(ConnectedComponentsSpark.viaGraphX(canon)) == localLabels(edges))
+      assert(sparkLabels(edges) == localLabels(edges))
     }
   }
 
   test("CC labels match a DuckDB recursive-CTE oracle") {
     val edges = Seq((1L, 2L), (2L, 3L), (5L, 6L), (7L, 8L), (8L, 9L), (9L, 7L))
-    val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
-    val labels = ConnectedComponentsSpark.viaGraphX(canon)
-      .select(col("vertex").cast("string").as("vertex"),
-        col("component").cast("string").as("component"))
+    import spark.implicits._
+    val labels = sparkLabels(edges).toSeq.map { case (v, c) => (v.toString, c.toString) }
+      .toDF("vertex", "component")
     Oracle.assertEquivalent(
       labels,
       """WITH RECURSIVE sym AS (
@@ -50,14 +49,43 @@ class CCSparkSpec extends SparkSpec {
         |)
         |SELECT CAST(v AS VARCHAR) AS vertex, CAST(MIN(r) AS VARCHAR) AS component
         |FROM reach GROUP BY v""".stripMargin,
-      "edges" -> canon)
+      "edges" -> EdgeOps.canonicalize(EdgeOps.toDF(spark, edges)))
   }
 
   test("single component graph gets one label") {
     val edges = (0 until 20).map(i => (i.toLong, (i + 1).toLong))
-    val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
-    val labels = collectLabels(ConnectedComponentsSpark.viaGraphX(canon))
+    val labels = sparkLabels(edges)
     assert(labels.values.toSet == Set(0L))
     assert(labels.keySet == (0L to 20L).toSet)
+  }
+
+  test("ids that are negative and beyond the Int range label like the local kernel") {
+    for (seed <- 1 to 3) {
+      val edges = TestGraphs.farIds(sparseEdges(seed))
+      assert(sparkLabels(edges) == localLabels(edges))
+    }
+  }
+
+  test("duplicates, reversed pairs and self-loops label like the local kernel") {
+    for (seed <- 1 to 3) {
+      val edges = TestGraphs.messy(sparseEdges(seed))
+      assert(sparkLabels(edges) == localLabels(edges))
+    }
+  }
+
+  test("an empty edge list has no labels") {
+    assert(sparkLabels(Nil).isEmpty)
+  }
+
+  test("a component spread over every partition gets one label") {
+    // A path visits its vertices in a shuffled order, so consecutive ones
+    // mostly have different owners and no partition's forest connects it.
+    val parts = spark.sparkContext.defaultParallelism
+    val order = new scala.util.Random(5).shuffle((0L until 200L).toVector)
+    val edges = order.zip(order.tail)
+    assert(order.map(Blocks.owner(_, parts)).toSet == (0 until parts).toSet)
+    val labels = sparkLabels(edges)
+    assert(labels.values.toSet == Set(0L))
+    assert(labels.keySet == order.toSet)
   }
 }

@@ -1,6 +1,5 @@
 package repro.spark
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.gen.{Datasets, GraphGen}
 import repro.graph.{AdjGraph, GraphOps}
@@ -27,7 +26,7 @@ class KCoreSparkSpec extends SparkSpec {
     val clique = GraphGen.erdosRenyi(6, 1.0, 1)
     check(clique, 5)
     val df = EdgeOps.toDF(spark, clique)
-    assert(KCoreSpark.kCore(df, 6).count() == 0)
+    assert(TestGraphs.toLocal(KCoreSpark.kCore(df, 6)).m == 0)
   }
 
   test("k-core strips the power-law background of a dataset substitute") {
@@ -38,20 +37,47 @@ class KCoreSparkSpec extends SparkSpec {
   test("cascade removal: a chain peels completely") {
     val chain = (0 until 10).map(i => (i.toLong, (i + 1).toLong))
     val df = EdgeOps.toDF(spark, chain)
-    assert(KCoreSpark.kCore(df, 2).count() == 0)
+    assert(TestGraphs.toLocal(KCoreSpark.kCore(df, 2)).m == 0)
   }
 
   test("first peel iteration matches DuckDB degree filter (Oracle)") {
     val edges = GraphGen.erdosRenyi(20, 0.25, 9)
-    val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
+    val df = EdgeOps.toDF(spark, edges)
     val k = 3
-    val survivors = EdgeOps.degrees(canon).where(col("degree") >= k)
-      .select(col("vertex").cast("string").as("vertex"))
+    // The first round keeps exactly the owned vertices whose degree is >= k.
+    val kept = Blocks.fromEdges(df).flatMap { b =>
+      b.graph.ids.indices.filter(v => b.owned(v) && b.degree(v) >= k).map(b.graph.ids(_).toString)
+    }.collect().toSeq
+    import spark.implicits._
     Oracle.assertEquivalent(
-      survivors,
+      kept.toDF("vertex"),
       s"""SELECT CAST(v AS VARCHAR) AS vertex
          |FROM (SELECT src AS v FROM edges UNION ALL SELECT dst AS v FROM edges)
          |GROUP BY v HAVING COUNT(*) >= $k""".stripMargin,
-      "edges" -> canon)
+      "edges" -> EdgeOps.canonicalize(df))
+  }
+
+  test("ids that are negative and beyond the Int range peel like the local kernel") {
+    for (seed <- 1 to 3; k <- Seq(2, 3)) check(TestGraphs.farIds(GraphGen.erdosRenyi(25, 0.2, seed)), k)
+  }
+
+  test("duplicates, reversed pairs and self-loops peel like the local kernel") {
+    for (seed <- 1 to 3; k <- Seq(2, 3)) check(TestGraphs.messy(GraphGen.erdosRenyi(25, 0.2, seed)), k)
+  }
+
+  test("an empty edge list has an empty k-core") {
+    assert(TestGraphs.toLocal(KCoreSpark.kCore(EdgeOps.toDF(spark, Nil), 1)).n == 0)
+  }
+
+  test("a removal applied twice decrements the degree once") {
+    // A triangle plus a pendant vertex 3 on vertex 0: at k = 2 the pendant
+    // goes, and vertex 0's degree falls from 3 to 2, whatever the replay.
+    val b = Blocks.fromEdges(EdgeOps.toDF(spark, Seq((0L, 1L), (1L, 2L), (2L, 0L), (0L, 3L))))
+      .collect().find(b => b.graph.ids.indices.exists(v => b.owned(v) && b.graph.ids(v) == 0L)).get
+    val v0 = b.graph.ids.indexOf(0L)
+    val once = KCoreSpark.peel(b, 2, Array(0L, 3L))
+    assert(once.degree(v0) == 2)
+    assert(KCoreSpark.peel(once, 2, Array(0L, 3L)).degree(v0) == 2)
+    assert(KCoreSpark.peel(b, 2, Array(0L, 3L, 0L, 3L)).degree(v0) == 2)
   }
 }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.core.{KVCCEnumerator, Variant}
 import repro.gen.{Datasets, GraphGen}
 import repro.graph.AdjGraph
@@ -59,5 +59,34 @@ class KVCCSparkSpec extends SparkSpec {
     // All variants agree through the distributed path too.
     val basic = KVCCSpark.enumerate(EdgeOps.toDF(spark, edges), k, Variant.Basic)
     assert(basic == got)
+  }
+
+  test("ids that are negative and beyond the Int range give the local kernel's k-VCCs") {
+    val k = 4
+    val edges = TestGraphs.farIds(plantedEdges(3, blocks = 4, k = k))
+    val got = KVCCSpark.enumerate(EdgeOps.toDF(spark, edges), k, Variant.Star)
+    assert(got.nonEmpty)
+    assert(got == localReference(edges, k))
+  }
+
+  test("duplicates, reversed pairs and self-loops give the local kernel's k-VCCs") {
+    val k = 4
+    val edges = TestGraphs.messy(plantedEdges(2, blocks = 4, k = k))
+    val got = KVCCSpark.enumerate(EdgeOps.toDF(spark, edges), k, Variant.Star)
+    assert(got.nonEmpty)
+    assert(got == localReference(edges, k))
+  }
+
+  test("an empty edge list and an empty k-core give no k-VCCs") {
+    assert(KVCCSpark.enumerate(EdgeOps.toDF(spark, Nil), 2, Variant.Star).isEmpty)
+    val chain = (0 until 30).map(i => (i.toLong, (i + 1).toLong))
+    assert(KVCCSpark.enumerate(EdgeOps.toDF(spark, chain), 2, Variant.Star).isEmpty)
+  }
+
+  test("a component spread over every partition is one k-VCC") {
+    val clique = GraphGen.erdosRenyi(30, 1.0, 1)
+    val parts = spark.sparkContext.defaultParallelism
+    assert((0L until 30L).map(Blocks.owner(_, parts)).toSet == (0 until parts).toSet)
+    assert(KVCCSpark.enumerate(EdgeOps.toDF(spark, clique), 5, Variant.Star) == Vector((0L until 30L).toVector))
   }
 }
