@@ -140,24 +140,10 @@ object SparseCertificate {
       }
     }
 
-    // Twin slots: the slot of x in y's list (x < y) is y's next slot below
-    // y, since lists are sorted and x runs upwards. At most one of the two
-    // holds a label; the other is still 0.
-    val cursor = java.util.Arrays.copyOf(off, n)
-    var x = 0
-    while (x < n) {
-      var s = off(x)
-      while (s < off(x + 1)) {
-        val y = adj(s)
-        if (y > x) {
-          val t = cursor(y)
-          cursor(y) += 1
-          val l = math.max(label(s), label(t))
-          label(s) = l; label(t) = l
-        }
-        s += 1
-      }
-      x += 1
+    // Twin slots: at most one of the two holds a label; the other is still 0.
+    g.foreachTwinSlots { (s, t) =>
+      val l = math.max(label(s), label(t))
+      label(s) = l; label(t) = l
     }
     label
   }

@@ -234,7 +234,7 @@ object GlobalCutStar {
       } else {
         stats.phase1Tested += 1
         if (!cert.hasEdge(u, v)) stats.flowTests += 1
-        val cut = LocalConnectivity.locCut(fn, cert, u, v, k)
+        val cut = fn.locCut(u, v, k)
         if (cut.isDefined) return cut
         sweep(v, RuleNone)
       }
@@ -255,7 +255,7 @@ object GlobalCutStar {
           val sameGroup = variant.groupSweep && groupOf(a) >= 0 && groupOf(a) == groupOf(b)
           if (!sameGroup) {
             if (!cert.hasEdge(a, b)) stats.flowTests += 1
-            val cut = LocalConnectivity.locCut(fn, cert, a, b, k)
+            val cut = fn.locCut(a, b, k)
             if (cut.isDefined) return cut
           }
           j += 1

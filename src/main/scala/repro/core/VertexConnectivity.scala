@@ -2,33 +2,8 @@ package repro.core
 
 import repro.graph.{AdjGraph, GraphOps}
 
-/** LOC-CUT (Algorithm 2, lines 12–17) and exact vertex connectivity.
-  *
-  * `locCut(fn, g, u, v, k)` tests whether u and v can be separated by fewer
-  * than k vertices in `g` and, if so, returns one minimum u–v vertex cut.
-  */
-object LocalConnectivity {
-
-  /** Returns Some(cut) with |cut| < k if κ(u,v) < k, else None.
-    * Adjacent (or identical) vertices are never separable (Lemma 5).
-    * `fn` must be the flow network of `g`.
-    */
-  def locCut(fn: FlowNetwork, g: AdjGraph, u: Int, v: Int, k: Int): Option[Array[Int]] = {
-    if (u == v || g.hasEdge(u, v)) return None
-    val lambda = fn.maxFlowUpTo(u, v, k)
-    if (lambda >= k) None
-    else Some(fn.minCutVertices(u))
-  }
-
-  /** κ(u,v) capped at `cap` (+∞ collapses to `cap` for adjacent pairs). */
-  def connectivityUpTo(fn: FlowNetwork, g: AdjGraph, u: Int, v: Int, cap: Int): Int = {
-    if (u == v || g.hasEdge(u, v)) cap
-    else fn.maxFlowUpTo(u, v, cap)
-  }
-}
-
-/** Exact global vertex connectivity κ(G) — used by tests and the
-  * effectiveness metrics, not by the enumeration hot path.
+/** Exact global vertex connectivity κ(G) — the tests' reference, not used
+  * by the enumeration.
   *
   * Two-phase scheme (Even / Esfahanian–Hakimi, the same structure as
   * GLOBAL-CUT): pick a min-degree vertex u; any minimum cut either avoids u
@@ -51,7 +26,7 @@ object VertexConnectivity {
     var v = 0
     while (v < n) {
       if (v != u && !g.hasEdge(u, v)) {
-        val c = LocalConnectivity.connectivityUpTo(fn, g, u, v, best)
+        val c = fn.connectivityUpTo(u, v, best)
         if (c < best) best = c
       }
       v += 1
@@ -64,7 +39,7 @@ object VertexConnectivity {
       var j = i + 1
       while (j < end) {
         if (!g.hasEdge(adj(i), adj(j))) {
-          val c = LocalConnectivity.connectivityUpTo(fn, g, adj(i), adj(j), best)
+          val c = fn.connectivityUpTo(adj(i), adj(j), best)
           if (c < best) best = c
         }
         j += 1

@@ -133,13 +133,4 @@ object GraphGen {
     }
     Planted(edges.result(), blockSets.result(), nextId)
   }
-
-  /** Small planted instance for unit tests: `blocks` near-clique blocks of
-    * size `k+3`, chained with overlaps of size `k-1`.
-    */
-  def plantedTiny(k: Int, blocks: Int, seed: Long): Planted = {
-    val rnd = new Random(seed)
-    val specs = Vector.fill(blocks)(BlockSpec(size = k + 3, p = 0.95, overlap = math.max(1, k - 1)))
-    plantedBlocks(specs, rnd)
-  }
 }

@@ -29,6 +29,24 @@ final class AdjGraph private[graph] (
     while (i < end) { f(adj(i)); i += 1 }
   }
 
+  /** Apply `f(s, t)` once per edge {x, w} with x < w, where `s` is the slot
+    * of w in x's list and `t` the slot of x in w's list. Lists are sorted and
+    * x runs upwards, so t is always w's next slot: one cursor pass.
+    */
+  def foreachTwinSlots(f: (Int, Int) => Unit): Unit = {
+    val cursor = java.util.Arrays.copyOf(offsets, n)
+    var x = 0
+    while (x < n) {
+      var s = offsets(x)
+      while (s < offsets(x + 1)) {
+        val w = adj(s)
+        if (w > x) { f(s, cursor(w)); cursor(w) += 1 }
+        s += 1
+      }
+      x += 1
+    }
+  }
+
   /** True iff edge (u,v) exists (binary search on the sorted adjacency). */
   def hasEdge(u: Int, v: Int): Boolean = {
     var lo = offsets(u)
@@ -56,31 +74,12 @@ final class AdjGraph private[graph] (
     best
   }
 
-  /** Minimum degree (0 for the empty graph). */
-  def minDegree: Int = if (n == 0) 0 else degree(minDegreeVertex)
-
   /** Maximum degree (0 for the empty graph). */
   def maxDegree: Int = {
     var best = 0
     var v = 0
     while (v < n) { val d = degree(v); if (d > best) best = d; v += 1 }
     best
-  }
-
-  /** Canonical (idLow < idHigh) edge list in original ids. */
-  def edgeList: Vector[(Long, Long)] = {
-    val buf = Vector.newBuilder[(Long, Long)]
-    var u = 0
-    while (u < n) {
-      foreachNeighbor(u) { v =>
-        if (u < v) {
-          val a = ids(u); val b = ids(v)
-          buf += (if (a < b) (a, b) else (b, a))
-        }
-      }
-      u += 1
-    }
-    buf.result()
   }
 
   /** Sorted original vertex ids. */
@@ -213,10 +212,7 @@ object AdjGraph {
     new AdjGraph(ids, offsets, if (w == adj.length) adj else java.util.Arrays.copyOf(adj, w))
   }
 
-  /** The empty graph. */
-  val empty: AdjGraph = new AdjGraph(Array.emptyLongArray, Array(0), Array.emptyIntArray)
-
-  /** Build directly from pre-validated CSR arrays (internal/test use). */
-  def unsafe(ids: Array[Long], offsets: Array[Int], adj: Array[Int]): AdjGraph =
+  /** Build directly from pre-validated CSR arrays. */
+  private[repro] def unsafe(ids: Array[Long], offsets: Array[Int], adj: Array[Int]): AdjGraph =
     new AdjGraph(ids, offsets, adj)
 }

@@ -107,22 +107,6 @@ object GraphOps {
   def edgeDensity(g: AdjGraph): Double =
     if (g.n < 2) 0.0 else 2.0 * g.m / (g.n.toDouble * (g.n - 1))
 
-  /** Number of triangles in `g` (each counted once). */
-  def triangleCount(g: AdjGraph): Long = {
-    var count = 0L
-    var u = 0
-    while (u < g.n) {
-      g.foreachNeighbor(u) { v =>
-        if (u < v) {
-          // Count common neighbors w > v to count each triangle once.
-          g.foreachNeighbor(v) { w => if (w > v && g.hasEdge(u, w)) count += 1 }
-        }
-      }
-      u += 1
-    }
-    count
-  }
-
   /** Average local clustering coefficient — Eqs. 5–6 in the paper.
     * Vertices with degree < 2 contribute 0 (the paper's convention for an
     * undefined local coefficient).

@@ -47,17 +47,6 @@ object EdgeOps {
     GraphStats(n, m, if (n == 0) 0.0 else m.toDouble / n, maxDeg)
   }
 
-  /** Triangle count via a three-way self-join over the canonical table. */
-  def triangleCount(canonical: DataFrame): Long = {
-    val e = canonical
-    e.as("e1")
-      .join(e.as("e2"), col("e1.dst") === col("e2.src"))
-      .join(
-        e.as("e3"),
-        col("e3.src") === col("e1.src") && col("e3.dst") === col("e2.dst"))
-      .count()
-  }
-
   /** Edges per slice of `toDF`: 512 KiB of `Long`s, half the task size above
     * which Spark warns.
     */

@@ -2,11 +2,42 @@ package repro
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
+import repro.gen.GraphGen.{BlockSpec, Planted, plantedBlocks}
 import repro.graph.AdjGraph
 import repro.spark.Block
+import scala.util.Random
 
-/** Graph builders that only tests use. */
+/** Graph builders and views that only tests use. */
 object TestGraphs {
+
+  /** The empty graph. */
+  val empty: AdjGraph = AdjGraph.fromEdges(Nil)
+
+  implicit final class GraphViews(private val g: AdjGraph) extends AnyVal {
+
+    /** Minimum degree (0 for the empty graph). */
+    def minDegree: Int = if (g.n == 0) 0 else g.degree(g.minDegreeVertex)
+
+    /** Canonical (idLow < idHigh) edge list in original ids. */
+    def edgeList: Vector[(Long, Long)] = {
+      val buf = Vector.newBuilder[(Long, Long)]
+      for (u <- 0 until g.n) g.foreachNeighbor(u) { v =>
+        if (u < v) {
+          val a = g.ids(u); val b = g.ids(v)
+          buf += (if (a < b) (a, b) else (b, a))
+        }
+      }
+      buf.result()
+    }
+  }
+
+  /** Small planted instance: `blocks` near-clique blocks of size `k+3`,
+    * chained with overlaps of size `k-1`.
+    */
+  def plantedTiny(k: Int, blocks: Int, seed: Long): Planted = {
+    val specs = Vector.fill(blocks)(BlockSpec(size = k + 3, p = 0.95, overlap = math.max(1, k - 1)))
+    plantedBlocks(specs, new Random(seed))
+  }
 
   /** Build from local-index pairs; vertex ids default to `0L until n`. */
   def fromLocalEdges(n: Int, edges: Seq[(Int, Int)], ids: Array[Long] = null): AdjGraph = {

@@ -23,7 +23,7 @@ class FlowNetworkSpec extends SparkSpec {
     assert(fn.maxFlowUpTo(0, 2, 10) == 2)
     val f = fn.maxFlowUpTo(0, 2, 10)
     assert(f == 2)
-    val cut = fn.minCutVertices(0)
+    val cut = fn.minCutVertices()
     assert(cut.toSet == Set(1, 3))
   }
 
@@ -62,7 +62,7 @@ class FlowNetworkSpec extends SparkSpec {
         val v = rnd.nextInt(g.n)
         if (u != v && !g.hasEdge(u, v)) {
           val flow = fn.maxFlowUpTo(u, v, g.n) // uncapped: true max flow
-          val cut = fn.minCutVertices(u)
+          val cut = fn.minCutVertices()
           assert(cut.length == flow, s"cut size ${cut.length} != flow $flow")
           assert(!cut.contains(u) && !cut.contains(v))
           // Removing the cut must separate u from v.
@@ -152,7 +152,7 @@ class FlowNetworkSpec extends SparkSpec {
         val fresh = new FlowNetwork(g)
         val flow = reused.maxFlowUpTo(u, v, limit)
         assert(flow == fresh.maxFlowUpTo(u, v, limit), s"u=$u v=$v limit=$limit")
-        if (flow < limit) assert(reused.minCutVertices(u).sameElements(fresh.minCutVertices(u)))
+        if (flow < limit) assert(reused.minCutVertices().sameElements(fresh.minCutVertices()))
         val full = reused.maxFlowUpTo(u, v, g.n)
         assert(full == new FlowNetwork(g).maxFlowUpTo(u, v, g.n), s"u=$u v=$v uncapped")
       }
@@ -165,7 +165,7 @@ class FlowNetworkSpec extends SparkSpec {
       for ((u, v) <- nonAdjacentPairs(g)) {
         val (plainFlow, plainCut) = unseededFlowAndCut(g, u, v)
         assert(fn.maxFlowUpTo(u, v, g.n) == plainFlow, s"u=$u v=$v")
-        assert(fn.minCutVertices(u).sameElements(plainCut), s"u=$u v=$v")
+        assert(fn.minCutVertices().sameElements(plainCut), s"u=$u v=$v")
       }
     }
   }
@@ -173,8 +173,8 @@ class FlowNetworkSpec extends SparkSpec {
   test("locCut returns None for adjacent vertices and for the same vertex") {
     val g = AdjGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (0L, 2L)))
     val fn = new FlowNetwork(g)
-    assert(LocalConnectivity.locCut(fn, g, 0, 1, 5).isEmpty)
-    assert(LocalConnectivity.locCut(fn, g, 2, 2, 5).isEmpty)
+    assert(fn.locCut(0, 1, 5).isEmpty)
+    assert(fn.locCut(2, 2, 5).isEmpty)
   }
 
   for (seed <- 1 to 15) {
@@ -183,13 +183,91 @@ class FlowNetworkSpec extends SparkSpec {
       val fn = new FlowNetwork(g)
       for (u <- 0 until g.n; v <- u + 1 until g.n if !g.hasEdge(u, v); k <- 1 to 4) {
         val naive = BruteForce.localConnectivityNaive(g, u, v)
-        val cut = LocalConnectivity.locCut(fn, g, u, v, k)
+        val cut = fn.locCut(u, v, k)
         if (naive >= k) assert(cut.isEmpty, s"u=$u v=$v k=$k naive=$naive")
         else {
           assert(cut.isDefined)
           assert(cut.get.length == naive) // the minimum u-v cut
         }
       }
+    }
+  }
+
+  /** Flow conservation on every node, unit split arcs, and `value` units
+    * leaving `u_out` and entering `v_in`; nothing enters `u_in` or leaves `v_out`.
+    */
+  private def assertFeasible(g: AdjGraph, fn: FlowNetwork, u: Int, v: Int, value: Int): Unit = {
+    val into = new Array[Int](g.n) // flow entering x_in
+    val outOf = new Array[Int](g.n) // flow leaving x_out
+    for (x <- 0 until g.n; s <- g.offsets(x) until g.offsets(x + 1)) {
+      assert(fn.flow(s) == 0 || fn.flow(s) == 1, s"slot $s carries ${fn.flow(s)}")
+      outOf(x) += fn.flow(s); into(g.adj(s)) += fn.flow(s)
+    }
+    for (x <- 0 until g.n if x != u && x != v) {
+      val unit = if (fn.split(x)) 1 else 0
+      assert(into(x) == unit && outOf(x) == unit, s"x=$x in=${into(x)} split=$unit out=${outOf(x)}")
+    }
+    assert(!fn.split(u) && !fn.split(v))
+    assert(into(u) == 0 && outOf(u) == value, s"source u=$u")
+    assert(into(v) == value && outOf(v) == 0, s"sink v=$v")
+  }
+
+  test("u and v in different components: flow 0 and an empty cut") {
+    val g = AdjGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (0L, 2L), (3L, 4L), (4L, 5L)))
+    val fn = new FlowNetwork(g)
+    for (u <- 0 to 2; v <- 3 to 5) {
+      assert(BruteForce.localConnectivityNaive(g, u, v) == 0)
+      assert(fn.maxFlowUpTo(u, v, 3) == 0)
+      assert(fn.minCutVertices().isEmpty)
+      assert(fn.locCut(v, u, 1).exists(_.isEmpty))
+    }
+  }
+
+  test("a source of degree 0") {
+    val g = AdjGraph.fromEdges(Seq((1L, 2L), (2L, 3L)), extraIds = Seq(0L))
+    val fn = new FlowNetwork(g)
+    for (v <- 1 to 3) {
+      assert(fn.maxFlowUpTo(0, v, 2) == BruteForce.localConnectivityNaive(g, 0, v))
+      assert(fn.minCutVertices().isEmpty)
+      assert(fn.locCut(0, v, 1).exists(_.isEmpty))
+    }
+  }
+
+  test("a graph with isolated vertices matches naive κ(u,v) on every pair") {
+    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(8, 0.5, 5), extraIds = Seq(8L, 9L, 10L))
+    val fn = new FlowNetwork(g)
+    for ((u, v) <- nonAdjacentPairs(g); (a, b) <- Seq((u, v), (v, u))) {
+      val naive = BruteForce.localConnectivityNaive(g, a, b)
+      assert(fn.maxFlowUpTo(a, b, g.n) == naive, s"u=$a v=$b")
+      assert(fn.minCutVertices().length == naive, s"u=$a v=$b")
+      assertFeasible(g, fn, a, b, naive)
+    }
+  }
+
+  test("K_n: locCut is always None") {
+    for (n <- 2 to 7) {
+      val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(n, 1.0, 1))
+      val fn = new FlowNetwork(g)
+      for (u <- 0 until n; v <- 0 until n; k <- 1 to n + 1) assert(fn.locCut(u, v, k).isEmpty, s"n=$n u=$u v=$v k=$k")
+    }
+  }
+
+  test("a maximum flow that needs a reverse residual arc") {
+    // u=0 reaches v=5 through a=1 or b=2, then c=3 or d=4; edges a-c, a-d,
+    // b-c. The first shortest path u-a-c-v leaves b only the route
+    // b-c, back along a-c, a-d-v.
+    val g = AdjGraph.fromEdges(Seq((0L, 1L), (0L, 2L), (1L, 3L), (1L, 4L), (2L, 3L), (3L, 5L), (4L, 5L)))
+    val fn = new FlowNetwork(g)
+    assert(BruteForce.localConnectivityNaive(g, 0, 5) == 2)
+    assert(fn.maxFlowUpTo(0, 5, 3) == 2)
+    assertFeasible(g, fn, 0, 5, 2)
+    assert(fn.minCutVertices().toSeq == Seq(1, 2))
+  }
+
+  for ((seed, g) <- denseGraphs.take(4)) {
+    test(s"maxFlowUpTo leaves a feasible flow of its value, every limit (seed=$seed)") {
+      val fn = new FlowNetwork(g)
+      for ((u, v) <- nonAdjacentPairs(g); limit <- 1 to g.n) assertFeasible(g, fn, u, v, fn.maxFlowUpTo(u, v, limit))
     }
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.gen.GraphGen
 import repro.graph.AdjGraph
 
@@ -89,7 +89,7 @@ class KVCCEnumSpec extends SparkSpec {
   // Planted blocks: the enumeration must rediscover each block.
   for (seed <- 1 to 8; k <- Seq(3, 4)) {
     test(s"planted near-clique blocks are recovered (seed=$seed, k=$k)") {
-      val planted = GraphGen.plantedTiny(k, blocks = 4, seed = seed)
+      val planted = TestGraphs.plantedTiny(k, blocks = 4, seed = seed)
       val g = AdjGraph.fromEdges(planted.edges)
       val res = KVCCEnumerator.enumerate(g, k, Variant.Star)
       // Every k-connected planted block must appear inside some k-VCC.

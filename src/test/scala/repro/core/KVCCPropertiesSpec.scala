@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.TestGraphs.GraphViews
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 import scala.util.Random

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.TestGraphs.GraphViews
 import repro.{SparkSpec, TestGraphs}
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
@@ -128,7 +129,7 @@ class SparseCertificateSpec extends SparkSpec {
         assert(grp.length > k)
         val fn = new FlowNetwork(cert)
         for (i <- grp.indices; j <- i + 1 until grp.length) {
-          val c = LocalConnectivity.connectivityUpTo(fn, cert, grp(i), grp(j), k)
+          val c = fn.connectivityUpTo(grp(i), grp(j), k)
           assert(c >= k, s"pair (${grp(i)},${grp(j)}) has κ=$c < $k in certificate")
         }
       }
@@ -143,7 +144,7 @@ class SparseCertificateSpec extends SparkSpec {
         val fn = new FlowNetwork(g)
         SparseCertificate.compute(g, k).sideGroups.foreach { grp =>
           for (i <- grp.indices; j <- i + 1 until grp.length) {
-            val c = LocalConnectivity.connectivityUpTo(fn, g, grp(i), grp(j), k)
+            val c = fn.connectivityUpTo(grp(i), grp(j), k)
             assert(c >= k, s"seed=$seed k=$k: (${grp(i)},${grp(j)}) has κ=$c")
             pairs += 1
           }

@@ -73,12 +73,12 @@ class SweepSpec extends SparkSpec {
       // Vertices v with >= k neighbors w, each locally k-connected to u,
       // must themselves be locally k-connected to u.
       val connectedToU = (0 until g.n).map { w =>
-        w == u || LocalConnectivity.connectivityUpTo(fn, g, u, w, k) >= k
+        w == u || fn.connectivityUpTo(u, w, k) >= k
       }
       for (v <- 0 until g.n if v != u) {
         val witnesses = g.adj.slice(g.offsets(v), g.offsets(v + 1)).count(connectedToU)
         if (witnesses >= k) {
-          assert(LocalConnectivity.connectivityUpTo(fn, g, u, v, k) >= k,
+          assert(fn.connectivityUpTo(u, v, k) >= k,
             s"deposit rule would have swept $v incorrectly")
         }
       }
@@ -92,7 +92,7 @@ class SweepSpec extends SparkSpec {
       val fn = new FlowNetwork(g)
       val ssv = strongSideVertices(g, k)
       def conn(a: Int, b: Int) =
-        a == b || LocalConnectivity.connectivityUpTo(fn, g, a, b, k) >= k
+        a == b || fn.connectivityUpTo(a, b, k) >= k
       for (b <- 0 until g.n if ssv(b); a <- 0 until g.n; c <- 0 until g.n) {
         if (conn(a, b) && conn(b, c)) assert(conn(a, c), s"a=$a b=$b c=$c")
       }

@@ -1,6 +1,6 @@
 package repro.gen
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.graph.{AdjGraph, GraphOps}
 import scala.util.Random
 
@@ -51,7 +51,7 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("plantedTiny blocks are dense enough to usually be k-connected") {
-    val planted = GraphGen.plantedTiny(3, blocks = 3, seed = 1)
+    val planted = TestGraphs.plantedTiny(3, blocks = 3, seed = 1)
     val g = AdjGraph.fromEdges(planted.edges)
     assert(g.n >= 3 * 3) // 3 blocks of size 6 with overlaps of 2
     assert(GraphOps.isConnected(g))

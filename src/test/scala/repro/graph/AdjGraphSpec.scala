@@ -1,5 +1,6 @@
 package repro.graph
 
+import repro.TestGraphs.GraphViews
 import repro.{SparkSpec, TestGraphs}
 import scala.collection.mutable
 import scala.util.Random
@@ -85,7 +86,7 @@ class AdjGraphSpec extends SparkSpec {
   }
 
   test("empty graph") {
-    val g = AdjGraph.empty
+    val g = TestGraphs.empty
     assert(g.n == 0)
     assert(g.m == 0)
   }

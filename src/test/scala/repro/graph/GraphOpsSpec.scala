@@ -102,30 +102,6 @@ class GraphOpsSpec extends SparkSpec {
     assert(math.abs(GraphOps.edgeDensity(randomGraph(6, 1.0, 1)) - 1.0) < 1e-12)
   }
 
-  test("triangleCount on known graphs") {
-    val triangle = AdjGraph.fromEdges(Seq((0L, 1L), (1L, 2L), (0L, 2L)))
-    assert(GraphOps.triangleCount(triangle) == 1)
-    val k4 = randomGraph(4, 1.0, 1)
-    assert(GraphOps.triangleCount(k4) == 4)
-    val path = AdjGraph.fromEdges(Seq((0L, 1L), (1L, 2L)))
-    assert(GraphOps.triangleCount(path) == 0)
-  }
-
-  /** Reference: direct triple counting. */
-  private def triangleNaive(g: AdjGraph): Long = {
-    var c = 0L
-    for (a <- 0 until g.n; b <- a + 1 until g.n; d <- b + 1 until g.n)
-      if (g.hasEdge(a, b) && g.hasEdge(b, d) && g.hasEdge(a, d)) c += 1
-    c
-  }
-
-  for (seed <- 1 to 6) {
-    test(s"triangleCount matches naive (seed=$seed)") {
-      val g = randomGraph(14, 0.4, seed)
-      assert(GraphOps.triangleCount(g) == triangleNaive(g))
-    }
-  }
-
   test("clusteringCoefficient of a clique is 1, of a star is 0") {
     assert(math.abs(GraphOps.clusteringCoefficient(randomGraph(6, 1.0, 1)) - 1.0) < 1e-12)
     val star = AdjGraph.fromEdges((1 to 5).map(i => (0L, i.toLong)))

@@ -1,9 +1,10 @@
 package repro.spark
 
 import org.apache.spark.sql.functions._
+import repro.TestGraphs.GraphViews
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.gen.GraphGen
-import repro.graph.{AdjGraph, GraphOps}
+import repro.graph.AdjGraph
 
 class EdgeOpsSpec extends SparkSpec {
 
@@ -84,22 +85,6 @@ class EdgeOpsSpec extends SparkSpec {
         |       CAST((SELECT COUNT(*) FROM edges) AS VARCHAR) AS m,
         |       CAST(MAX(d) AS VARCHAR) AS maxdeg
         |FROM deg""".stripMargin,
-      "edges" -> canon)
-  }
-
-  test("triangleCount matches the local kernel and DuckDB (Oracle)") {
-    val edges = GraphGen.erdosRenyi(18, 0.35, 7)
-    val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
-    val local = GraphOps.triangleCount(AdjGraph.fromEdges(edges))
-    assert(EdgeOps.triangleCount(canon) == local)
-    import spark.implicits._
-    val triDf = Seq(local.toString).toDF("triangles")
-    Oracle.assertEquivalent(
-      triDf,
-      """SELECT CAST(COUNT(*) AS VARCHAR) AS triangles
-        |FROM edges e1
-        |JOIN edges e2 ON e1.dst = e2.src
-        |JOIN edges e3 ON e3.src = e1.src AND e3.dst = e2.dst""".stripMargin,
       "edges" -> canon)
   }
 

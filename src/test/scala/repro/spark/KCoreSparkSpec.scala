@@ -1,5 +1,6 @@
 package repro.spark
 
+import repro.TestGraphs.GraphViews
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.gen.{Datasets, GraphGen}
 import repro.graph.{AdjGraph, GraphOps}
