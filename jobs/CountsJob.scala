@@ -9,7 +9,7 @@ import repro.exp.CountsExp
   */
 object CountsJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("kvcc-counts")
       .getOrCreate()

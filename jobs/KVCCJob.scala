@@ -22,7 +22,7 @@ object KVCCJob {
         .getOrElse(throw new IllegalArgumentException(s"unknown variant ${args(2)}"))
     } else Variant.Star
 
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"kvcc-${spec.name}-$k")
       .getOrCreate()

@@ -9,7 +9,7 @@ import repro.exp.Table1
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("kvcc-table1")
       .getOrCreate()

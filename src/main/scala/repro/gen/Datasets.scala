@@ -1,5 +1,6 @@
 package repro.gen
 
+import repro.graph.AdjGraph
 import scala.util.Random
 
 /** Synthetic substitutes for the paper's seven SNAP datasets (Table 1).
@@ -141,7 +142,7 @@ object Datasets {
 
     /** The slot holding (lo, hi), or the empty slot where it belongs. */
     private def slot(lo: Long, hi: Long): Int = {
-      var i = (mix(lo * 0x9E3779B97F4A7C15L + hi) & mask).toInt
+      var i = (AdjGraph.mix(lo * 0x9E3779B97F4A7C15L + hi) & mask).toInt
       while (lows(i) != highs(i) && (lows(i) != lo || highs(i) != hi)) i = (i + 1) & mask
       i
     }
@@ -159,14 +160,6 @@ object Datasets {
         }
         j += 1
       }
-    }
-
-    /** The 64-bit finaliser of MurmurHash3: every input bit moves the slot. */
-    private def mix(x: Long): Long = {
-      var h = x
-      h ^= h >>> 33; h *= 0xff51afd7ed558ccdL
-      h ^= h >>> 33; h *= 0xc4ceb9fe1a85ec53L
-      h ^ (h >>> 33)
     }
   }
 }

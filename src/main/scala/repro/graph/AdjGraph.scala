@@ -130,76 +130,107 @@ object AdjGraph {
     * that is also an endpoint is not duplicated.
     *
     * The result is the unique CSR of the edge set: `ids` sorted ascending,
-    * each adjacency list sorted and duplicate-free. It is built on primitive
-    * arrays in O(m log m) time, as CSR builders such as Ligra do (Shun &
-    * Blelloch, PPoPP 2013): copy the endpoints into two `Long` arrays in one
-    * pass, sort them together with `extraIds` and compact to the unique ids,
-    * map each endpoint to its index by binary search, fill the lists by
-    * counting, then sort each list and squeeze out its duplicates in place.
+    * each adjacency list sorted and duplicate-free, so every input order of
+    * the same edge set gives the same arrays. The edges are copied into one
+    * interleaved `Long` array in one pass, and the CSR is built from it as
+    * `fromPairs` describes.
     */
   def fromEdges(edges: IterableOnce[(Long, Long)], extraIds: IterableOnce[Long] = Nil): AdjGraph = {
-    // 1. Endpoints of the non-loop edges, in input order.
-    var src = new Array[Long](math.max(edges.knownSize, 16))
-    var dst = new Array[Long](src.length)
+    var pairs = new Array[Long](2 * math.max(edges.knownSize, 8))
     var m = 0
     val it = edges.iterator
     while (it.hasNext) {
       val e = it.next()
-      if (e._1 != e._2) {
-        if (m == src.length) {
-          src = java.util.Arrays.copyOf(src, 2 * m)
-          dst = java.util.Arrays.copyOf(dst, 2 * m)
-        }
-        src(m) = e._1; dst(m) = e._2
-        m += 1
-      }
+      if (2 * m == pairs.length) pairs = java.util.Arrays.copyOf(pairs, 2 * pairs.length)
+      pairs(2 * m) = e._1; pairs(2 * m + 1) = e._2
+      m += 1
     }
-    // 2. Sorted unique ids over both endpoint columns and `extraIds`.
-    val extra = extraIds.iterator.toArray
-    val all = new Array[Long](2 * m + extra.length)
-    System.arraycopy(src, 0, all, 0, m)
-    System.arraycopy(dst, 0, all, m, m)
-    System.arraycopy(extra, 0, all, 2 * m, extra.length)
-    java.util.Arrays.sort(all)
-    var n = 0
+    build(pairs, m, extraIds.iterator.toArray)
+  }
+
+  /** Build from interleaved `(src, dst)` pairs: edge i is
+    * `(pairs(2i), pairs(2i + 1))`. The result equals `fromEdges` on the same
+    * pairs, array for array.
+    *
+    * There is no comparison sort over the edges, as in the counting-based
+    * CSR builder of the GAP Benchmark Suite (Beamer, Asanović & Patterson,
+    * arXiv:1508.03619, 2015). With m pairs and n distinct ids, it costs
+    * O(m + n log n):
+    *   1. an open-addressing hash table gives each endpoint of a non-loop
+    *      pair a provisional index, in order of first appearance: one probe
+    *      per endpoint;
+    *   2. only the n unique ids are sorted, and each is ranked by one probe;
+    *   3. a counting-sort scatter buckets the arcs, both directions of every
+    *      pair, by target;
+    *   4. a second scatter walks the targets in ascending order into their
+    *      sources' lists, so every list comes out sorted, and adjacent
+    *      duplicates are squeezed out in place.
+    */
+  def fromPairs(pairs: Array[Long]): AdjGraph = {
+    require(pairs.length % 2 == 0, s"fromPairs needs an even number of ids, got ${pairs.length}")
+    build(pairs, pairs.length / 2, Array.emptyLongArray)
+  }
+
+  /** The CSR of the first `np` pairs of `pairs` plus the isolated `extra`. */
+  private def build(pairs: Array[Long], np: Int, extra: Array[Long]): AdjGraph = {
+    // 1. Provisional indices of the endpoints of the non-loop pairs.
+    val index = new IdIndex(np)
+    val su = new Array[Int](np)
+    val du = new Array[Int](np)
+    var m = 0
     var i = 0
-    while (i < all.length) {
-      if (n == 0 || all(i) != all(n - 1)) { all(n) = all(i); n += 1 }
+    while (i < np) {
+      val a = pairs(2 * i)
+      val b = pairs(2 * i + 1)
+      if (a != b) { su(m) = index(a); du(m) = index(b); m += 1 }
       i += 1
     }
-    val ids = java.util.Arrays.copyOf(all, n)
-    // 3. Endpoints as local indices.
-    val su = new Array[Int](m)
-    val du = new Array[Int](m)
     i = 0
-    while (i < m) {
-      su(i) = java.util.Arrays.binarySearch(ids, src(i))
-      du(i) = java.util.Arrays.binarySearch(ids, dst(i))
-      i += 1
-    }
-    // 4. Counting CSR, both directions of every edge, duplicates included.
+    while (i < extra.length) { index(extra(i)); i += 1 }
+    // 2. The sorted unique ids; `rank` maps a provisional index to its final one.
+    val ids = index.keys
+    java.util.Arrays.sort(ids)
+    val n = ids.length
+    val rank = new Array[Int](n)
+    i = 0
+    while (i < n) { rank(index(ids(i))) = i; i += 1 }
+    // 3. Degrees, duplicates included; a vertex is the target of as many arcs
+    // as it is the source of, so one `offsets` serves both scatters.
     val offsets = new Array[Int](n + 1)
     i = 0
-    while (i < m) { offsets(su(i) + 1) += 1; offsets(du(i) + 1) += 1; i += 1 }
+    while (i < m) {
+      su(i) = rank(su(i)); du(i) = rank(du(i))
+      offsets(su(i) + 1) += 1; offsets(du(i) + 1) += 1
+      i += 1
+    }
     i = 0
     while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
-    val adj = new Array[Int](2 * m)
+    // 4. Arcs bucketed by target: `from` holds each arc's source.
+    val from = new Array[Int](2 * m)
     val cursor = java.util.Arrays.copyOf(offsets, n)
     i = 0
     while (i < m) {
       val u = su(i); val v = du(i)
-      adj(cursor(u)) = v; cursor(u) += 1
-      adj(cursor(v)) = u; cursor(v) += 1
+      from(cursor(v)) = u; cursor(v) += 1
+      from(cursor(u)) = v; cursor(u) += 1
       i += 1
     }
-    // 5. Sort each list and drop its adjacent duplicates, compacting the
-    // lists leftwards in place; `offsets(v + 1)` is read before it is moved.
+    // 5. Targets in ascending order into their sources' lists.
+    val adj = new Array[Int](2 * m)
+    System.arraycopy(offsets, 0, cursor, 0, n)
+    var t = 0
+    while (t < n) {
+      var j = offsets(t)
+      while (j < offsets(t + 1)) { val s = from(j); adj(cursor(s)) = t; cursor(s) += 1; j += 1 }
+      t += 1
+    }
+    // 6. Drop each sorted list's adjacent duplicates, compacting the lists
+    // leftwards in place; `offsets(v + 1)` is read before it is moved.
     var w = 0
     var start = 0
     var v = 0
     while (v < n) {
       val end = offsets(v + 1)
-      java.util.Arrays.sort(adj, start, end)
       var j = start
       while (j < end) {
         if (j == start || adj(j) != adj(j - 1)) { adj(w) = adj(j); w += 1 }
@@ -215,4 +246,68 @@ object AdjGraph {
   /** Build directly from pre-validated CSR arrays. */
   private[repro] def unsafe(ids: Array[Long], offsets: Array[Int], adj: Array[Int]): AdjGraph =
     new AdjGraph(ids, offsets, adj)
+
+  /** The 64-bit finaliser of MurmurHash3: every input bit moves every output
+    * bit, so the low bits alone can pick a slot of a power-of-two table.
+    */
+  private[repro] def mix(x: Long): Long = {
+    var h = x
+    h ^= h >>> 33; h *= 0xff51afd7ed558ccdL
+    h ^= h >>> 33; h *= 0xc4ceb9fe1a85ec53L
+    h ^ (h >>> 33)
+  }
+
+  /** Dense indices `0 until size` for `Long` ids, in order of first
+    * appearance: open addressing with linear probing over a power-of-two
+    * table. It starts with more slots than `expected` and doubles whenever
+    * it is half full.
+    */
+  private final class IdIndex(expected: Int) {
+    private var mask = Integer.highestOneBit(math.max(expected, 8)) * 2 - 1
+    private var slotIds = new Array[Long](mask + 1)
+    private var slotIndex = new Array[Int](mask + 1) // index + 1; 0 marks an empty slot
+    private var size = 0
+
+    /** The index of `id`, which is the next free one if `id` is new. */
+    def apply(id: Long): Int = {
+      val i = slot(id)
+      if (slotIndex(i) != 0) slotIndex(i) - 1
+      else {
+        slotIds(i) = id; size += 1; slotIndex(i) = size
+        if (2 * size > mask) grow()
+        size - 1
+      }
+    }
+
+    /** The ids held, in no particular order. */
+    def keys: Array[Long] = {
+      val out = new Array[Long](size)
+      var at = 0
+      var i = 0
+      while (i <= mask) { if (slotIndex(i) != 0) { out(at) = slotIds(i); at += 1 }; i += 1 }
+      out
+    }
+
+    /** The slot holding `id`, or the empty slot where it belongs. */
+    private def slot(id: Long): Int = {
+      var i = mix(id).toInt & mask
+      while (slotIndex(i) != 0 && slotIds(i) != id) i = (i + 1) & mask
+      i
+    }
+
+    private def grow(): Unit = {
+      val (oldIds, oldIndex) = (slotIds, slotIndex)
+      mask = 2 * mask + 1
+      slotIds = new Array[Long](mask + 1)
+      slotIndex = new Array[Int](mask + 1)
+      var j = 0
+      while (j < oldIds.length) {
+        if (oldIndex(j) != 0) {
+          val i = slot(oldIds(j))
+          slotIds(i) = oldIds(j); slotIndex(i) = oldIndex(j)
+        }
+        j += 1
+      }
+    }
+  }
 }

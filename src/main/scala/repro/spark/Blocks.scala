@@ -64,7 +64,7 @@ object Blocks {
   /** One block per partition, over `defaultParallelism` partitions, from
     * any `(src, dst)` table. Each edge is sent in both directions to the
     * owner of its source; self-loops are dropped, and duplicates and
-    * reversed pairs merge in `AdjGraph.fromEdges`.
+    * reversed pairs merge in `AdjGraph.fromPairs`.
     */
   def fromEdges(edges: DataFrame): RDD[Block] = {
     val parts = edges.sparkSession.sparkContext.defaultParallelism
@@ -79,8 +79,7 @@ object Blocks {
         if (pb != pa) { out.add(pb, b); out.add(pb, a) }
       }
     }.mapPartitionsWithIndex { (p, it) =>
-      val pairs = it.next()
-      val g = AdjGraph.fromEdges((0 until pairs.length / 2).view.map(i => (pairs(2 * i), pairs(2 * i + 1))))
+      val g = AdjGraph.fromPairs(it.next())
       val owned = g.ids.map(owner(_, parts) == p)
       val degree = Array.tabulate(g.n)(v => if (owned(v)) g.degree(v) else 0)
       Iterator.single(new Block(g, owned, owned.clone(), degree, new Array[Boolean](g.adj.length)))

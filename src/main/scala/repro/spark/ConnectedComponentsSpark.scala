@@ -33,21 +33,21 @@ object ConnectedComponentsSpark {
   def labels(blocks: RDD[Block]): Labels = {
     val forests = blocks.map { b =>
       val ids = b.graph.ids
-      val edges = Array.newBuilder[(Long, Long)]
-      b.foreachLiveEdge((v, w) => edges += ((ids(v), ids(w))))
-      stars(edges.result())
+      val pairs = Array.newBuilder[Long]
+      b.foreachLiveEdge { (v, w) => pairs += ids(v); pairs += ids(w) }
+      stars(pairs.result())
     }.collect()
-    val merged = stars(forests.iterator.flatMap(f => Iterator.range(0, f.length, 2).map(i => (f(i), f(i + 1)))))
+    val merged = stars(forests.flatten)
     val n = merged.length / 2
     new Labels(Array.tabulate(n)(i => merged(2 * i)), Array.tabulate(n)(i => merged(2 * i + 1)))
   }
 
-  /** The components of the graph on `edges` as a star forest: one
-    * `(vertex, root)` pair per vertex, in ascending vertex order, where
-    * `root` is the smallest id of the vertex's component.
+  /** The components of the graph on the interleaved `(src, dst)` pairs as
+    * a star forest: one `(vertex, root)` pair per vertex, in ascending vertex
+    * order, where `root` is the smallest id of the vertex's component.
     */
-  private def stars(edges: IterableOnce[(Long, Long)]): Array[Long] = {
-    val g = AdjGraph.fromEdges(edges)
+  private def stars(pairs: Array[Long]): Array[Long] = {
+    val g = AdjGraph.fromPairs(pairs)
     val out = new Array[Long](2 * g.n)
     // BFS starts each component at its smallest index, which holds its smallest id.
     for (c <- GraphOps.connectedComponents(g); v <- c) { out(2 * v) = g.ids(v); out(2 * v + 1) = g.ids(c(0)) }

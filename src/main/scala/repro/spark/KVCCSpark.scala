@@ -9,13 +9,14 @@ import repro.graph.AdjGraph
   * The bulk phases run on one hash-partitioned adjacency (`Blocks`): the
   * k-core by message-passing rounds (`KCoreSpark`), then the connected
   * components by per-partition spanning forests merged on the driver
-  * (`ConnectedComponentsSpark`). Each live core edge then travels, with its
-  * component label, to the label's owner, where each component is built as
-  * one `AdjGraph` and the recursive cut-and-partition kernel
-  * (`KVCCEnumerator`) enumerates its k-VCCs. The post-k-core components are
-  * orders of magnitude smaller than the input graph (that is the point of
-  * Algorithm 1's pre-pruning), so this mirrors the paper's
-  * partition-then-solve structure at cluster scale.
+  * (`ConnectedComponentsSpark`). Each live core edge then travels to the
+  * owner of its component's label, so a task receives whole components. It
+  * builds them as one `AdjGraph` and runs the recursive cut-and-partition
+  * kernel (`KVCCEnumerator`) once: the kernel's own k-core and components
+  * step splits the disjoint union, whose k-VCCs are those of its parts. The
+  * post-k-core components are orders of magnitude smaller than the input
+  * graph (that is the point of Algorithm 1's pre-pruning), so this mirrors
+  * the paper's partition-then-solve structure at cluster scale.
   */
 object KVCCSpark {
 
@@ -38,23 +39,16 @@ object KVCCSpark {
           val ids = b.graph.ids
           val label = shared.value
           b.foreachLiveEdge { (v, w) =>
-            val c = label(ids(v))
-            val p = Blocks.owner(c, parts)
-            out.add(p, c); out.add(p, ids(v)); out.add(p, ids(w))
+            val p = Blocks.owner(label(ids(v)), parts)
+            out.add(p, ids(v)); out.add(p, ids(w))
           }
         }
-        val found = routed.flatMap(components(_).flatMap { g =>
-          KVCCEnumerator.enumerate(g, k, variant, threads = threads).map(_.sortedIds.toVector)
-        })
+        val found = routed.flatMap { pairs =>
+          KVCCEnumerator.enumerate(AdjGraph.fromPairs(pairs), k, variant, threads = threads).map(_.sortedIds.toVector)
+        }
         try found.collect().toVector.sorted(KVCCEnumerator.canonicalOrder)
         finally shared.destroy()
       }
     } finally core.unpersist(blocking = false)
   }
-
-  /** One graph per component of the `(label, v, w)` triples, built lazily. */
-  private def components(triples: Array[Long]): Iterator[AdjGraph] =
-    (0 until triples.length / 3).groupBy(i => triples(3 * i)).valuesIterator.map { es =>
-      AdjGraph.fromEdges(es.view.map(i => (triples(3 * i + 1), triples(3 * i + 2))))
-    }
 }

@@ -60,6 +60,30 @@ class AdjGraphSpec extends SparkSpec {
     (rnd.shuffle(edges ++ repeats), extra ++ extra.take(3))
   }
 
+  /** The three CSR arrays of `g` equal those of `ref`. */
+  private def assertSameCsr(g: AdjGraph, ref: AdjGraph, what: String): Unit = {
+    assert(g.ids.sameElements(ref.ids), s"$what: ids")
+    assert(g.offsets.sameElements(ref.offsets), s"$what: offsets")
+    assert(g.adj.sameElements(ref.adj), s"$what: adj")
+  }
+
+  /** The edges as interleaved `(src, dst)` pairs, the input of `fromPairs`. */
+  private def interleaved(edges: Seq[(Long, Long)]): Array[Long] = edges.flatMap { case (a, b) => Seq(a, b) }.toArray
+
+  /** `fromEdges` on the edges in every input form, and `fromPairs` on them
+    * when there are no extra ids, each equal to the reference builder.
+    */
+  private def assertMatchesReference(name: String, es: Vector[(Long, Long)], xs: Vector[Long]): Unit = {
+    val ref = referenceFromEdges(es, xs)
+    // Known size, single pass of unknown size, and a groupByKey-like Iterable.
+    val forms = Seq[(String, () => AdjGraph)](
+      "Vector" -> (() => AdjGraph.fromEdges(es, xs)),
+      "Iterator" -> (() => AdjGraph.fromEdges(es.iterator, xs.iterator)),
+      "Iterable" -> (() => AdjGraph.fromEdges(new Iterable[(Long, Long)] { def iterator = es.iterator }, xs))) ++
+      (if (xs.isEmpty) Seq("pairs" -> (() => AdjGraph.fromPairs(interleaved(es)))) else Nil)
+    for ((form, build) <- forms) assertSameCsr(build(), ref, s"$name input as $form")
+  }
+
   for (seed <- 1 to 20) test(s"fromEdges equals the reference builder (seed=$seed)") {
     val rnd = new Random(seed)
     val (edges, extra) = randomInput(rnd)
@@ -68,21 +92,54 @@ class AdjGraphSpec extends SparkSpec {
       "no extra ids" -> (edges, Vector.empty[Long]),
       "empty" -> (Vector.empty[(Long, Long)], Vector.empty[Long]),
       "extra ids only" -> (Vector.empty[(Long, Long)], extra))
-    for ((name, (es, xs)) <- cases) {
-      val ref = referenceFromEdges(es, xs)
-      // Known size, single pass of unknown size, and a groupByKey-like Iterable.
-      val forms = Seq[(String, () => AdjGraph)](
-        "Vector" -> (() => AdjGraph.fromEdges(es, xs)),
-        "Iterator" -> (() => AdjGraph.fromEdges(es.iterator, xs.iterator)),
-        "Iterable" -> (() => AdjGraph.fromEdges(new Iterable[(Long, Long)] { def iterator = es.iterator }, xs)))
-      for ((form, build) <- forms) {
-        val g = build()
-        val what = s"$name input as $form"
-        assert(g.ids.toSeq == ref.ids.toSeq, s"$what: ids")
-        assert(g.offsets.toSeq == ref.offsets.toSeq, s"$what: offsets")
-        assert(g.adj.toSeq == ref.adj.toSeq, s"$what: adj")
-      }
+    for ((name, (es, xs)) <- cases) assertMatchesReference(name, es, xs)
+  }
+
+  for (seed <- 1 to 20) test(s"fromPairs equals fromEdges (seed=$seed)") {
+    val (edges, _) = randomInput(new Random(seed))
+    assertSameCsr(AdjGraph.fromPairs(interleaved(edges)), AdjGraph.fromEdges(edges), "random input")
+  }
+
+  test("fromPairs rejects an odd number of ids") {
+    intercept[IllegalArgumentException](AdjGraph.fromPairs(Array(1L, 2L, 3L)))
+  }
+
+  /** `edges` random pairs over `pool` with self-loops and reversed repeats,
+    * and every id of `pool` again, repeated, as extra ids.
+    */
+  private def inputOver(rnd: Random, pool: Array[Long], edges: Int): (Vector[(Long, Long)], Vector[Long]) = {
+    def pick(): Long = pool(rnd.nextInt(pool.length))
+    val es = Vector.fill(edges) {
+      val a = pick()
+      (a, if (rnd.nextInt(20) == 0) a else pick())
     }
+    val repeats = es.filter(_ => rnd.nextInt(4) == 0).map { case (a, b) => (b, a) }
+    (rnd.shuffle(es ++ repeats), rnd.shuffle(pool.toVector ++ pool.take(pool.length / 10)))
+  }
+
+  // The id table is sized for the number of pairs and holds at most half of
+  // its slots, so n ids from fewer than n / 2 pairs, or from extra ids alone,
+  // make it grow: once or twice from the edges, and many times from extra ids.
+  for (n <- Seq(5000, 15000, 30000, 50000)) test(s"fromEdges equals the reference builder past table growths (n=$n)") {
+    val rnd = new Random(n)
+    val pool = Iterator.continually(rnd.nextLong()).distinct.take(n).toArray
+    val (edges, extra) = inputOver(rnd, pool, n / 4 + rnd.nextInt(n / 4))
+    assertMatchesReference("sparse", edges, extra)
+    assertMatchesReference("edges only", edges, Vector.empty)
+    assertMatchesReference("extra ids only", Vector.empty, extra)
+  }
+
+  test("fromEdges equals the reference builder on ids that share their low bits") {
+    val extremes = Seq(Long.MinValue, Long.MinValue + 1, -1L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
+    val highOnly = (-1000L to 1000L).map(_ << 32) // all equal in the low 32 bits
+    val tableMultiples = for (b <- 4 to 24; i <- 1L to 100L) yield i << b // equal modulo a table size
+    val pool = (extremes ++ highOnly ++ tableMultiples).distinct.toArray
+    val rnd = new Random(7)
+    val (edges, extra) = inputOver(rnd, pool, 2 * pool.length)
+    val pinned = Vector((Long.MinValue, Long.MaxValue), (0L, -1L), (1L << 32, 0L), (Long.MinValue, 0L))
+    assertMatchesReference("low-bit collisions", pinned ++ edges, extra)
+    assertMatchesReference("low-bit collisions, edges only", pinned ++ edges, Vector.empty)
+    assertMatchesReference("low-bit collisions, extra ids only", Vector.empty, extra)
   }
 
   test("empty graph") {
