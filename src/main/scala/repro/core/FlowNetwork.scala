@@ -181,9 +181,4 @@ final class FlowNetwork(g: AdjGraph) {
   def locCut(u: Int, v: Int, k: Int): Option[Array[Int]] =
     if (u == v || g.hasEdge(u, v) || maxFlowUpTo(u, v, k) >= k) None
     else Some(minCutVertices())
-
-  /** κ(u,v) capped at `cap` (+∞ collapses to `cap` for adjacent pairs). */
-  def connectivityUpTo(u: Int, v: Int, cap: Int): Int =
-    if (u == v || g.hasEdge(u, v)) cap
-    else maxFlowUpTo(u, v, cap)
 }

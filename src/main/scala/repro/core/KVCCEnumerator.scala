@@ -112,10 +112,4 @@ object KVCCEnumerator {
     * lexicographically by their comma-joined ids.
     */
   val canonicalOrder: Ordering[collection.Seq[Long]] = Ordering.by(key)
-
-  /** Canonical form: sorted vertex-id list per k-VCC, in `canonicalOrder`
-    * — used to compare results across variants / implementations.
-    */
-  def canonical(result: Seq[AdjGraph]): Vector[Vector[Long]] =
-    result.map(_.sortedIds.toVector).sorted(canonicalOrder).toVector
 }

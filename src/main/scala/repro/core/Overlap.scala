@@ -11,25 +11,15 @@ object Overlap {
 
   /** Partition `g` by vertex cut `cut` (local indices). The caller guarantees
     * `cut` is a genuine vertex cut of `g`; this is re-validated (a violation
-    * would make the enumeration loop forever on an unsplittable graph).
+    * would make the enumeration loop forever on an unsplittable graph). The
+    * components of G − S are found on `g` itself, with the cut skipped.
     */
   def partition(g: AdjGraph, cut: Array[Int]): Vector[AdjGraph] = {
-    val inCut = new Array[Boolean](g.n)
-    cut.foreach(inCut(_) = true)
-    val keep = (0 until g.n).filter(!inCut(_)).toArray
-    val remainder = g.induced(keep)
-    val comps = GraphOps.connectedComponents(remainder)
+    val comps = GraphOps.connectedComponents(g, removed = cut)
     require(
       comps.length >= 2,
       s"OVERLAP-PARTITION: removing ${cut.length} vertices (ids ${cut.map(g.ids).mkString(", ")}) " +
         s"from a piece with n=${g.n}, m=${g.m} left ${comps.length} component(s) — not a cut")
-    comps.map { comp =>
-      // Map remainder-local indices back to g-local indices, then add S.
-      val members = new Array[Int](comp.length + cut.length)
-      var i = 0
-      while (i < comp.length) { members(i) = keep(comp(i)); i += 1 }
-      System.arraycopy(cut, 0, members, comp.length, cut.length)
-      g.induced(members)
-    }
+    comps.map(comp => g.induced(Array.concat(comp, cut)))
   }
 }

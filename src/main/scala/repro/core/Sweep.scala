@@ -168,16 +168,19 @@ object GlobalCutStar {
     val gProcessed = new Array[Boolean](groups.length)
 
     // SWEEP (Algorithm 4), iterative to avoid deep recursion. With both
-    // strategies off it only marks v0 itself.
-    val stack = new mutable.ArrayDeque[Int]()
+    // strategies off it only marks v0 itself. `mark` pushes each vertex at
+    // most once (when `pru` turns true), so n stack slots are enough.
+    val stack = new Array[Int](n)
+    var top = 0
     def mark(v: Int, rule: Byte): Unit = {
-      pru(v) = true; ruleOf(v) = rule; stack.append(v)
+      pru(v) = true; ruleOf(v) = rule; stack(top) = v; top += 1
     }
     def sweep(v0: Int, rule0: Byte): Unit = {
       if (pru(v0)) return
       mark(v0, rule0)
-      while (stack.nonEmpty) {
-        val v = stack.removeLast()
+      while (top > 0) {
+        top -= 1
+        val v = stack(top)
         // Memoized, evaluated at most once per processed vertex.
         lazy val vIsSsv = ssv(v)
         // Neighbor sweep: deposits + rules NS1/NS2.

@@ -22,11 +22,12 @@ object VertexConnectivity {
     val fn = new FlowNetwork(g)
     val u = g.minDegreeVertex
     var best = n - 1
-    // Phase 1: u versus every non-neighbor.
+    // A minimum u–v vertex cut has as many vertices as the maximum flow, so
+    // a cut below `best` gives κ(u,v). Phase 1: u versus every non-neighbor.
     var v = 0
     while (v < n) {
       if (v != u && !g.hasEdge(u, v)) {
-        val c = fn.connectivityUpTo(u, v, best)
+        val c = fn.locCut(u, v, best).fold(best)(_.length)
         if (c < best) best = c
       }
       v += 1
@@ -39,7 +40,7 @@ object VertexConnectivity {
       var j = i + 1
       while (j < end) {
         if (!g.hasEdge(adj(i), adj(j))) {
-          val c = fn.connectivityUpTo(adj(i), adj(j), best)
+          val c = fn.locCut(adj(i), adj(j), best).fold(best)(_.length)
           if (c < best) best = c
         }
         j += 1

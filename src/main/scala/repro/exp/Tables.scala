@@ -49,5 +49,4 @@ object Tables {
   }
 
   def pct(x: Double): String = f"${100 * x}%.0f%%"
-  def ms(nanos: Long): String = f"${nanos / 1e6}%.0f"
 }

@@ -26,10 +26,6 @@ object GraphGen {
     buf.result()
   }
 
-  /** G(n, p) on fresh ids `offset until offset+n`. */
-  def erdosRenyi(n: Int, p: Double, seed: Long, offset: Long = 0L): Vector[(Long, Long)] =
-    erdosRenyi((0 until n).map(offset + _), p, new Random(seed))
-
   /** Chung–Lu power-law graph: `m` edges sampled with endpoint probability
     * proportional to weights `w_i ∝ (i+1)^{-1/(β-1)}`, with the weights capped
     * so the maximum *expected degree* (2m·w_max/Σw) is ≈ `maxExpectedDegree`.

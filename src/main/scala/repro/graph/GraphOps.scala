@@ -1,7 +1,5 @@
 package repro.graph
 
-import scala.collection.mutable
-
 /** Bulk operations on the local graph kernel: k-core peeling, connected
   * components, BFS, and the cohesion metrics used in the paper's
   * effectiveness evaluation (diameter, edge density, clustering coefficient).
@@ -11,51 +9,76 @@ object GraphOps {
   /** k-core: iteratively remove vertices of degree < k (Algorithm 1 line 2).
     *
     * Returns the induced subgraph on the surviving vertices (original ids
-    * preserved). Linear-time bucket peel.
+    * preserved). Linear-time peel: a vertex is marked removed when it is
+    * pushed, so it is pushed at most once and n stack slots are enough.
     */
   def kCore(g: AdjGraph, k: Int): AdjGraph = {
-    if (g.n == 0) return g
-    val deg = Array.tabulate(g.n)(g.degree)
-    val removed = new Array[Boolean](g.n)
-    val queue = new mutable.ArrayDeque[Int]()
+    val n = g.n
+    val off = g.offsets
+    val adj = g.adj
+    val deg = Array.tabulate(n)(g.degree)
+    val removed = new Array[Boolean](n)
+    val stack = new Array[Int](n)
+    var top = 0
     var v = 0
-    while (v < g.n) { if (deg(v) < k) { removed(v) = true; queue.append(v) }; v += 1 }
-    while (queue.nonEmpty) {
-      val u = queue.removeHead()
-      g.foreachNeighbor(u) { w =>
+    while (v < n) { if (deg(v) < k) { removed(v) = true; stack(top) = v; top += 1 }; v += 1 }
+    var gone = top
+    while (top > 0) {
+      top -= 1
+      val u = stack(top)
+      var i = off(u)
+      while (i < off(u + 1)) {
+        val w = adj(i)
         if (!removed(w)) {
           deg(w) -= 1
-          if (deg(w) < k) { removed(w) = true; queue.append(w) }
+          if (deg(w) < k) { removed(w) = true; stack(top) = w; top += 1; gone += 1 }
         }
+        i += 1
       }
     }
-    val keep = (0 until g.n).filter(!removed(_)).toArray
-    if (keep.length == g.n) g else g.induced(keep)
+    if (gone == 0) return g
+    val keep = new Array[Int](n - gone)
+    var j = 0
+    v = 0
+    while (v < n) { if (!removed(v)) { keep(j) = v; j += 1 }; v += 1 }
+    g.induced(keep)
   }
 
-  /** Connected components as arrays of local indices (BFS). */
-  def connectedComponents(g: AdjGraph): Vector[Array[Int]] = {
-    val comp = Array.fill(g.n)(-1)
+  /** Connected components of `g` without the `removed` vertices (local
+    * indices), as arrays of local indices of `g` (BFS). Components come in
+    * order of their smallest index, each in BFS order from it, so `c(0)` is
+    * the component's smallest index. Each BFS fills one segment of `queue`:
+    * its component.
+    */
+  def connectedComponents(g: AdjGraph, removed: Array[Int] = Array.emptyIntArray): Vector[Array[Int]] = {
+    val n = g.n
+    val off = g.offsets
+    val adj = g.adj
+    val seen = new Array[Boolean](n)
+    var r = 0
+    while (r < removed.length) { seen(removed(r)) = true; r += 1 }
+    val queue = new Array[Int](n)
     val out = Vector.newBuilder[Array[Int]]
-    val queue = new mutable.ArrayDeque[Int]()
-    var v = 0
-    var c = 0
-    while (v < g.n) {
-      if (comp(v) == -1) {
-        val members = mutable.ArrayBuilder.make[Int]
-        comp(v) = c
-        queue.append(v)
-        while (queue.nonEmpty) {
-          val u = queue.removeHead()
-          members += u
-          g.foreachNeighbor(u) { w =>
-            if (comp(w) == -1) { comp(w) = c; queue.append(w) }
+    var qt = 0
+    var root = 0
+    while (root < n) {
+      if (!seen(root)) {
+        val start = qt
+        seen(root) = true
+        queue(qt) = root; qt += 1
+        var qh = start
+        while (qh < qt) {
+          val u = queue(qh); qh += 1
+          var i = off(u)
+          while (i < off(u + 1)) {
+            val w = adj(i)
+            if (!seen(w)) { seen(w) = true; queue(qt) = w; qt += 1 }
+            i += 1
           }
         }
-        out += members.result()
-        c += 1
+        out += java.util.Arrays.copyOfRange(queue, start, qt)
       }
-      v += 1
+      root += 1
     }
     out.result()
   }
@@ -71,14 +94,21 @@ object GraphOps {
 
   /** BFS distances from `src`; -1 for unreachable vertices. */
   def bfsDistances(g: AdjGraph, src: Int): Array[Int] = {
+    val off = g.offsets
+    val adj = g.adj
     val dist = Array.fill(g.n)(-1)
-    val queue = new mutable.ArrayDeque[Int]()
+    val queue = new Array[Int](g.n)
     dist(src) = 0
-    queue.append(src)
-    while (queue.nonEmpty) {
-      val u = queue.removeHead()
-      g.foreachNeighbor(u) { w =>
-        if (dist(w) == -1) { dist(w) = dist(u) + 1; queue.append(w) }
+    queue(0) = src
+    var qh = 0
+    var qt = 1
+    while (qh < qt) {
+      val u = queue(qh); qh += 1
+      var i = off(u)
+      while (i < off(u + 1)) {
+        val w = adj(i)
+        if (dist(w) == -1) { dist(w) = dist(u) + 1; queue(qt) = w; qt += 1 }
+        i += 1
       }
     }
     dist

@@ -2,6 +2,8 @@ package repro
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
+import repro.core.KVCCEnumerator
+import repro.gen.GraphGen
 import repro.gen.GraphGen.{BlockSpec, Planted, plantedBlocks}
 import repro.graph.AdjGraph
 import repro.spark.Block
@@ -30,6 +32,17 @@ object TestGraphs {
       buf.result()
     }
   }
+
+  /** Erdős–Rényi G(n, p) on ids `offset until offset+n`. */
+  def erdosRenyi(n: Int, p: Double, seed: Long, offset: Long = 0L): Vector[(Long, Long)] =
+    GraphGen.erdosRenyi((0 until n).map(offset + _), p, new Random(seed))
+
+  /** Canonical form: sorted vertex-id list per k-VCC, in
+    * `KVCCEnumerator.canonicalOrder` — used to compare results across
+    * variants / implementations.
+    */
+  def canonical(result: Seq[AdjGraph]): Vector[Vector[Long]] =
+    result.map(_.sortedIds.toVector).sorted(KVCCEnumerator.canonicalOrder).toVector
 
   /** Small planted instance: `blocks` near-clique blocks of size `k+3`,
     * chained with overlaps of size `k-1`.

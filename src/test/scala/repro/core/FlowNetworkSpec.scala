@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
-import repro.gen.GraphGen
+import repro.{SparkSpec, TestGraphs}
 import repro.graph.{AdjGraph, GraphOps}
 import scala.collection.mutable
 import scala.util.Random
@@ -10,8 +9,7 @@ class FlowNetworkSpec extends SparkSpec {
 
   private def randomConnected(n: Int, p: Double, seed: Long): AdjGraph = {
     // ER + a spanning path to guarantee connectivity.
-    val rnd = new Random(seed)
-    val er = GraphGen.erdosRenyi(n, p, seed)
+    val er = TestGraphs.erdosRenyi(n, p, seed)
     val path = (0 until n - 1).map(i => (i.toLong, (i + 1).toLong))
     AdjGraph.fromEdges(er ++ path)
   }
@@ -28,7 +26,7 @@ class FlowNetworkSpec extends SparkSpec {
   }
 
   test("early termination caps the flow value") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(8, 1.0, 1)) // K8
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(8, 1.0, 1)) // K8
     val fn = new FlowNetwork(g)
     assert(fn.maxFlowUpTo(0, 1, 3) == 3) // true κ is larger; cap respected
   }
@@ -234,7 +232,7 @@ class FlowNetworkSpec extends SparkSpec {
   }
 
   test("a graph with isolated vertices matches naive κ(u,v) on every pair") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(8, 0.5, 5), extraIds = Seq(8L, 9L, 10L))
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(8, 0.5, 5), extraIds = Seq(8L, 9L, 10L))
     val fn = new FlowNetwork(g)
     for ((u, v) <- nonAdjacentPairs(g); (a, b) <- Seq((u, v), (v, u))) {
       val naive = BruteForce.localConnectivityNaive(g, a, b)
@@ -246,7 +244,7 @@ class FlowNetworkSpec extends SparkSpec {
 
   test("K_n: locCut is always None") {
     for (n <- 2 to 7) {
-      val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(n, 1.0, 1))
+      val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(n, 1.0, 1))
       val fn = new FlowNetwork(g)
       for (u <- 0 until n; v <- 0 until n; k <- 1 to n + 1) assert(fn.locCut(u, v, k).isEmpty, s"n=$n u=$u v=$v k=$k")
     }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 
@@ -8,7 +8,7 @@ class GlobalCutSpec extends SparkSpec {
 
   private def randomConnected(n: Int, p: Double, seed: Long): AdjGraph =
     AdjGraph.fromEdges(
-      GraphGen.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
+      TestGraphs.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
 
   /** The contract every variant of GLOBAL-CUT* must meet. */
   private def checkContract(g: AdjGraph, k: Int, variant: Variant): Unit = {
@@ -40,7 +40,7 @@ class GlobalCutSpec extends SparkSpec {
   }
 
   test("no cut in a clique") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(8, 1.0, 1))
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(8, 1.0, 1))
     for (k <- 1 to 7; v <- Variant.all) {
       assert(GlobalCutStar.find(g, k, v).isEmpty, s"${v.name} k=$k")
     }

@@ -1,8 +1,7 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.TestGraphs.GraphViews
-import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 
 class KEccSpec extends SparkSpec {
@@ -30,7 +29,7 @@ class KEccSpec extends SparkSpec {
     test(s"Stoer-Wagner matches naive min cut (seed=$seed)") {
       val n = 5 + seed % 5
       val g = AdjGraph.fromEdges(
-        GraphGen.erdosRenyi(n, 0.45, seed * 3) ++
+        TestGraphs.erdosRenyi(n, 0.45, seed * 3) ++
           (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
       val (cut, side) = KEcc.stoerWagner(g)
       assert(cut == minCutNaive(g), s"n=$n")
@@ -67,7 +66,7 @@ class KEccSpec extends SparkSpec {
 
   test("k-ECCs are vertex-disjoint") {
     for (seed <- 1 to 8) {
-      val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(20, 0.3, seed))
+      val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(20, 0.3, seed))
       val res = KEcc.enumerate(g, 3)
       for (i <- res.indices; j <- i + 1 until res.length)
         assert(res(i).ids.toSet.intersect(res(j).ids.toSet).isEmpty)
@@ -77,7 +76,7 @@ class KEccSpec extends SparkSpec {
   for (seed <- 1 to 10; k <- Seq(2, 3)) {
     test(s"every k-ECC is k-edge-connected (seed=$seed, k=$k)") {
       val g = AdjGraph.fromEdges(
-        GraphGen.erdosRenyi(10, 0.4, seed * 13) ++
+        TestGraphs.erdosRenyi(10, 0.4, seed * 13) ++
           (0 until 9).map(i => (i.toLong, (i + 1).toLong)))
       KEcc.enumerate(g, k).foreach { ecc =>
         assert(ecc.n >= 2)
@@ -90,7 +89,7 @@ class KEccSpec extends SparkSpec {
     test(s"k-ECC covers every k-VCC (Whitney/Theorem 3) (seed=$seed)") {
       val k = 3
       val g = AdjGraph.fromEdges(
-        GraphGen.erdosRenyi(9, 0.45, seed * 7) ++
+        TestGraphs.erdosRenyi(9, 0.45, seed * 7) ++
           (0 until 8).map(i => (i.toLong, (i + 1).toLong)))
       val eccs = KEcc.enumerate(g, k).map(_.ids.toSet)
       BruteForce.kvccNaive(g, k).foreach { vcc =>
@@ -101,7 +100,7 @@ class KEccSpec extends SparkSpec {
 
   test("k-core contains the union of all k-ECCs") {
     for (seed <- 1 to 5) {
-      val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(18, 0.35, seed))
+      val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(18, 0.35, seed))
       val core = GraphOps.kCore(g, 3).ids.toSet
       KEcc.enumerate(g, 3).foreach(ecc => assert(ecc.ids.toSet.subsetOf(core)))
     }

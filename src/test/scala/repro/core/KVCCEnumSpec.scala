@@ -32,7 +32,7 @@ class KVCCEnumSpec extends SparkSpec {
   }
 
   test("a clique is its own k-VCC for all k < n") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(7, 1.0, 1))
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(7, 1.0, 1))
     for (k <- 1 to 6; variant <- Variant.all) {
       val res = KVCCEnumerator.enumerate(g, k, variant)
       assert(asSets(res) == Set(g.ids.toSet), s"${variant.name} k=$k")
@@ -46,7 +46,7 @@ class KVCCEnumSpec extends SparkSpec {
     import scala.concurrent.ExecutionContext.Implicits.global
     import scala.concurrent.duration._
     val path = AdjGraph.fromEdges((0L until 20L).map(i => (i, i + 1)))
-    val clique = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1))
+    val clique = AdjGraph.fromEdges(TestGraphs.erdosRenyi(6, 1.0, 1))
     val empty = AdjGraph.fromEdges(Nil)
     val cases = Seq((path, 2), (path, 5), (clique, 6), (clique, 7), (clique, 50), (empty, 1), (empty, 3))
     for ((g, k) <- cases; variant <- Variant.all; threads <- Seq(1, 4)) {
@@ -58,7 +58,7 @@ class KVCCEnumSpec extends SparkSpec {
   }
 
   test("threads must be positive") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1))
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(6, 1.0, 1))
     assertThrows[IllegalArgumentException](KVCCEnumerator.enumerate(g, 2, Variant.Star, threads = 0))
   }
 
@@ -76,7 +76,7 @@ class KVCCEnumSpec extends SparkSpec {
       val n = 6 + seed % 3 // 6..8 (keeps the exponential oracle cheap)
       val p = 0.3 + 0.07 * (seed % 5)
       val g = AdjGraph.fromEdges(
-        GraphGen.erdosRenyi(n, p, seed * 37) ++
+        TestGraphs.erdosRenyi(n, p, seed * 37) ++
           (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
       val expected = BruteForce.kvccNaive(g, k)
       for (variant <- Variant.all) {

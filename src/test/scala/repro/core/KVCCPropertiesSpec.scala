@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.TestGraphs.GraphViews
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
@@ -21,7 +21,7 @@ class KVCCPropertiesSpec extends SparkSpec {
   private def counters(s: KvccStats): Vector[(String, Long)] =
     counterFields.map(f => f.getName -> f.getLong(s))
 
-  private def mediumPlanted(seed: Long, blocks: Int = 6, k: Int = 4): AdjGraph = {
+  private def mediumPlanted(seed: Long, blocks: Int, k: Int): AdjGraph = {
     val rnd = new Random(seed)
     val specs = Vector.fill(blocks) {
       val size = k + 4 + rnd.nextInt(6)
@@ -67,7 +67,7 @@ class KVCCPropertiesSpec extends SparkSpec {
 
   for (seed <- 1 to 10) {
     test(s"variants agree on ER graphs (seed=$seed)") {
-      val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(24, 0.3, seed * 7))
+      val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(24, 0.3, seed * 7))
       for (k <- Seq(3, 4)) assertVariantsAgree(g, k)
     }
   }

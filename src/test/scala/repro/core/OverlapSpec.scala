@@ -1,9 +1,10 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.TestGraphs.GraphViews
 import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
+import scala.util.Random
 
 class OverlapSpec extends SparkSpec {
 
@@ -33,14 +34,14 @@ class OverlapSpec extends SparkSpec {
   }
 
   test("partition rejects a non-cut") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1)) // clique
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(6, 1.0, 1)) // clique
     intercept[IllegalArgumentException] {
       Overlap.partition(g, Array(0))
     }
   }
 
   test("a rejected non-cut names the piece's size and the cut's original ids") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1, offset = 100L)) // K6, ids 100..105
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(6, 1.0, 1, offset = 100L)) // K6, ids 100..105
     val e = intercept[IllegalArgumentException] {
       Overlap.partition(g, Array(g.ids.indexOf(101L), g.ids.indexOf(104L)))
     }
@@ -49,10 +50,50 @@ class OverlapSpec extends SparkSpec {
     assert(e.getMessage.contains("left 1 component(s)"), e.getMessage)
   }
 
+  /** Reference: the partition built through a copy of G − S, whose
+    * components are mapped back to g's indices before the parts are built.
+    */
+  private def partitionViaCopy(g: AdjGraph, cut: Array[Int]): Vector[AdjGraph] = {
+    val inCut = new Array[Boolean](g.n)
+    cut.foreach(inCut(_) = true)
+    val keep = (0 until g.n).filter(!inCut(_)).toArray
+    val comps = GraphOps.connectedComponents(g.induced(keep))
+    require(comps.length >= 2, "not a cut")
+    comps.map(comp => g.induced(comp.map(keep) ++ cut))
+  }
+
+  private def assertSameParts(got: Vector[AdjGraph], expected: Vector[AdjGraph]): Unit = {
+    assert(got.length == expected.length)
+    got.zip(expected).foreach { case (p, q) =>
+      assert(p.ids.toSeq == q.ids.toSeq)
+      assert(p.offsets.toSeq == q.offsets.toSeq)
+      assert(p.adj.toSeq == q.adj.toSeq)
+    }
+  }
+
+  for (seed <- 1 to 12) {
+    test(s"partition equals the partition through a copy of G − S (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 12 + rnd.nextInt(20)
+      val g = AdjGraph.fromEdges(
+        TestGraphs.erdosRenyi(n, 0.1 + 0.2 * rnd.nextDouble(), seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
+      // Minimum cuts from GLOBAL-CUT, and random vertex sets that separate g.
+      val found = Seq(2, 4, 8, g.n).flatMap(k => GlobalCutStar.find(g, k, Variant.Star))
+      val random = Seq.fill(60)(0.2 + 0.6 * rnd.nextDouble())
+        .map(q => rnd.shuffle((0 until g.n).filter(_ => rnd.nextDouble() < q)).toArray)
+        .filter { s =>
+          val rest = (0 until g.n).filterNot(s.toSet).toArray
+          GraphOps.connectedComponents(g.induced(rest)).length >= 2
+        }
+      assert(found.nonEmpty && random.nonEmpty)
+      for (cut <- found ++ random) assertSameParts(Overlap.partition(g, cut), partitionViaCopy(g, cut))
+    }
+  }
+
   for (seed <- 1 to 10) {
     test(s"partition invariants on random graphs (seed=$seed)") {
       val g = AdjGraph.fromEdges(
-        GraphGen.erdosRenyi(12, 0.25, seed) ++ (0 until 11).map(i => (i.toLong, (i + 1).toLong)))
+        TestGraphs.erdosRenyi(12, 0.25, seed) ++ (0 until 11).map(i => (i.toLong, (i + 1).toLong)))
       // Find any true cut via brute force: smallest separator.
       val cutOpt = GlobalCutStar.find(g, g.n, Variant.Basic) // any cut (k = n always admits one unless complete)
       cutOpt.foreach { cut =>

@@ -2,14 +2,13 @@ package repro.core
 
 import repro.TestGraphs.GraphViews
 import repro.{SparkSpec, TestGraphs}
-import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 
 class SparseCertificateSpec extends SparkSpec {
 
   private def randomConnected(n: Int, p: Double, seed: Long): AdjGraph =
     AdjGraph.fromEdges(
-      GraphGen.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
+      TestGraphs.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
 
   /** The edges of `g` whose forest label satisfies `keep`, on all n vertices. */
   private def labelled(g: AdjGraph, label: Array[Int])(keep: Int => Boolean): AdjGraph =
@@ -129,7 +128,7 @@ class SparseCertificateSpec extends SparkSpec {
         assert(grp.length > k)
         val fn = new FlowNetwork(cert)
         for (i <- grp.indices; j <- i + 1 until grp.length) {
-          val c = fn.connectivityUpTo(grp(i), grp(j), k)
+          val c = fn.locCut(grp(i), grp(j), k).fold(k)(_.length)
           assert(c >= k, s"pair (${grp(i)},${grp(j)}) has κ=$c < $k in certificate")
         }
       }
@@ -144,7 +143,7 @@ class SparseCertificateSpec extends SparkSpec {
         val fn = new FlowNetwork(g)
         SparseCertificate.compute(g, k).sideGroups.foreach { grp =>
           for (i <- grp.indices; j <- i + 1 until grp.length) {
-            val c = fn.connectivityUpTo(grp(i), grp(j), k)
+            val c = fn.locCut(grp(i), grp(j), k).fold(k)(_.length)
             assert(c >= k, s"seed=$seed k=$k: (${grp(i)},${grp(j)}) has κ=$c")
             pairs += 1
           }

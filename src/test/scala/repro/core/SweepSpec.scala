@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
-import repro.gen.GraphGen
+import repro.{SparkSpec, TestGraphs}
 import repro.graph.AdjGraph
 import repro.graph.GraphOps
 
@@ -12,7 +11,7 @@ class SweepSpec extends SparkSpec {
 
   private def randomConnected(n: Int, p: Double, seed: Long): AdjGraph =
     AdjGraph.fromEdges(
-      GraphGen.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
+      TestGraphs.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
 
   /** Eager strong side-vertex mask over all vertices. */
   private def strongSideVertices(g: AdjGraph, k: Int): Array[Boolean] = {
@@ -30,7 +29,7 @@ class SweepSpec extends SparkSpec {
     }
 
   test("in a clique every vertex is a strong side-vertex (small k)") {
-    val g = AdjGraph.fromEdges(GraphGen.erdosRenyi(6, 1.0, 1))
+    val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(6, 1.0, 1))
     val ssv = strongSideVertices(g, 3)
     assert(ssv.forall(identity))
   }
@@ -73,12 +72,12 @@ class SweepSpec extends SparkSpec {
       // Vertices v with >= k neighbors w, each locally k-connected to u,
       // must themselves be locally k-connected to u.
       val connectedToU = (0 until g.n).map { w =>
-        w == u || fn.connectivityUpTo(u, w, k) >= k
+        w == u || fn.locCut(u, w, k).fold(k)(_.length) >= k
       }
       for (v <- 0 until g.n if v != u) {
         val witnesses = g.adj.slice(g.offsets(v), g.offsets(v + 1)).count(connectedToU)
         if (witnesses >= k) {
-          assert(fn.connectivityUpTo(u, v, k) >= k,
+          assert(fn.locCut(u, v, k).fold(k)(_.length) >= k,
             s"deposit rule would have swept $v incorrectly")
         }
       }
@@ -92,7 +91,7 @@ class SweepSpec extends SparkSpec {
       val fn = new FlowNetwork(g)
       val ssv = strongSideVertices(g, k)
       def conn(a: Int, b: Int) =
-        a == b || fn.connectivityUpTo(a, b, k) >= k
+        a == b || fn.locCut(a, b, k).fold(k)(_.length) >= k
       for (b <- 0 until g.n if ssv(b); a <- 0 until g.n; c <- 0 until g.n) {
         if (conn(a, b) && conn(b, c)) assert(conn(a, c), s"a=$a b=$b c=$c")
       }

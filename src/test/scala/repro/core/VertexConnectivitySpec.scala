@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.gen.GraphGen
 import repro.graph.AdjGraph
 import scala.util.Random
@@ -9,7 +9,7 @@ class VertexConnectivitySpec extends SparkSpec {
 
   test("κ of a clique is n-1") {
     for (n <- 3 to 7)
-      assert(VertexConnectivity.kappa(AdjGraph.fromEdges(GraphGen.erdosRenyi(n, 1.0, 1))) == n - 1)
+      assert(VertexConnectivity.kappa(AdjGraph.fromEdges(TestGraphs.erdosRenyi(n, 1.0, 1))) == n - 1)
   }
 
   test("κ of a cycle is 2, of a path is 1") {
@@ -35,7 +35,7 @@ class VertexConnectivitySpec extends SparkSpec {
       val n = 5 + seed % 5
       val p = 0.25 + 0.1 * (seed % 6)
       val g = AdjGraph.fromEdges(
-        GraphGen.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
+        TestGraphs.erdosRenyi(n, p, seed) ++ (0 until n - 1).map(i => (i.toLong, (i + 1).toLong)))
       assert(VertexConnectivity.kappa(g) == BruteForce.kappaNaive(g), s"n=$n p=$p")
     }
   }
@@ -43,7 +43,7 @@ class VertexConnectivitySpec extends SparkSpec {
   for (seed <- 1 to 10) {
     test(s"isKConnected matches Definition 2 (seed=$seed)") {
       val g = AdjGraph.fromEdges(
-        GraphGen.erdosRenyi(7, 0.5, seed) ++ (0 until 6).map(i => (i.toLong, (i + 1).toLong)))
+        TestGraphs.erdosRenyi(7, 0.5, seed) ++ (0 until 6).map(i => (i.toLong, (i + 1).toLong)))
       val kappa = BruteForce.kappaNaive(g)
       for (k <- 1 to 8)
         assert(VertexConnectivity.isKConnected(g, k) == (g.n > k && kappa >= k), s"k=$k kappa=$kappa")

@@ -7,13 +7,13 @@ import scala.util.Random
 class GraphGenSpec extends SparkSpec {
 
   test("erdosRenyi p=1 is a clique, p=0 is empty") {
-    assert(GraphGen.erdosRenyi(6, 1.0, 1).size == 15)
-    assert(GraphGen.erdosRenyi(6, 0.0, 1).isEmpty)
+    assert(TestGraphs.erdosRenyi(6, 1.0, 1).size == 15)
+    assert(TestGraphs.erdosRenyi(6, 0.0, 1).isEmpty)
   }
 
   test("erdosRenyi is deterministic in the seed") {
-    assert(GraphGen.erdosRenyi(20, 0.3, 42) == GraphGen.erdosRenyi(20, 0.3, 42))
-    assert(GraphGen.erdosRenyi(20, 0.3, 42) != GraphGen.erdosRenyi(20, 0.3, 43))
+    assert(TestGraphs.erdosRenyi(20, 0.3, 42) == TestGraphs.erdosRenyi(20, 0.3, 42))
+    assert(TestGraphs.erdosRenyi(20, 0.3, 42) != TestGraphs.erdosRenyi(20, 0.3, 43))
   }
 
   test("chungLu produces the requested edge count with heavy-tailed degrees") {

@@ -1,13 +1,13 @@
 package repro.graph
 
-import repro.SparkSpec
-import repro.gen.GraphGen
+import repro.{SparkSpec, TestGraphs}
+import scala.collection.mutable
 import scala.util.Random
 
 class GraphOpsSpec extends SparkSpec {
 
   private def randomGraph(n: Int, p: Double, seed: Long): AdjGraph =
-    AdjGraph.fromEdges(GraphGen.erdosRenyi(n, p, seed))
+    AdjGraph.fromEdges(TestGraphs.erdosRenyi(n, p, seed))
 
   private def neighbourSet(g: AdjGraph, v: Int): Set[Int] =
     g.adj.slice(g.offsets(v), g.offsets(v + 1)).toSet
@@ -70,6 +70,47 @@ class GraphOpsSpec extends SparkSpec {
     assert(comps.length == 3)
     val byVertex = comps.zipWithIndex.flatMap { case (c, i) => c.map(_ -> i) }.toMap
     for (u <- 0 until g.n) g.foreachNeighbor(u)(v => assert(byVertex(u) == byVertex(v)))
+  }
+
+  /** Reference: components by BFS with a boxed queue, in order of their
+    * smallest index, each in BFS order from it.
+    */
+  private def referenceComponents(g: AdjGraph): Vector[Array[Int]] = {
+    val seen = new Array[Boolean](g.n)
+    val out = Vector.newBuilder[Array[Int]]
+    for (root <- 0 until g.n if !seen(root)) {
+      val members = mutable.ArrayBuffer.empty[Int]
+      val queue = mutable.Queue(root)
+      seen(root) = true
+      while (queue.nonEmpty) {
+        val u = queue.dequeue()
+        members += u
+        g.foreachNeighbor(u)(w => if (!seen(w)) { seen(w) = true; queue.enqueue(w) })
+      }
+      out += members.toArray
+    }
+    out.result()
+  }
+
+  for (seed <- 1 to 12) {
+    test(s"connectedComponents with removed vertices equals the components of the rest's copy (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 10 + rnd.nextInt(30)
+      // Four ids with no edges: isolated vertices.
+      val g = AdjGraph.fromEdges(
+        TestGraphs.erdosRenyi(n, 1.0 / n + 0.15 * rnd.nextDouble(), seed), extraIds = n.toLong until n + 4L)
+      val isolated = (0 until g.n).filter(g.degree(_) == 0).toArray
+      assert(isolated.length >= 4)
+      val removedSets = Seq(Array.emptyIntArray, Array.range(0, g.n), isolated, isolated.take(2)) ++
+        Seq(0.1, 0.3, 0.6).map(q => rnd.shuffle((0 until g.n).filter(_ => rnd.nextDouble() < q)).toArray)
+      for (removed <- removedSets) {
+        val kept = (0 until g.n).filterNot(removed.toSet).toArray
+        val expected = referenceComponents(g.induced(kept)).map(_.map(kept))
+        val got = GraphOps.connectedComponents(g, removed)
+        assert(got.map(_.toSeq) == expected.map(_.toSeq), s"removed=${removed.mkString(",")}")
+      }
+      assert(GraphOps.connectedComponents(g).map(_.toSeq) == referenceComponents(g).map(_.toSeq))
+    }
   }
 
   test("componentSubgraphs preserve total edges") {

@@ -1,7 +1,6 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.gen.GraphGen
 import repro.graph.{AdjGraph, GraphOps}
 
 class CCSparkSpec extends SparkSpec {
@@ -22,7 +21,7 @@ class CCSparkSpec extends SparkSpec {
   }
 
   private def sparseEdges(seed: Long) =
-    GraphGen.erdosRenyi(40, 0.04, seed) ++ Seq((100L, 101L), (102L, 103L), (102L, 104L))
+    TestGraphs.erdosRenyi(40, 0.04, seed) ++ Seq((100L, 101L), (102L, 103L), (102L, 104L))
 
   for (seed <- 1 to 5) {
     test(s"GraphX CC matches the local kernel (seed=$seed)") {

@@ -3,14 +3,13 @@ package repro.spark
 import org.apache.spark.sql.functions._
 import repro.TestGraphs.GraphViews
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.gen.GraphGen
 import repro.graph.AdjGraph
 
 class EdgeOpsSpec extends SparkSpec {
 
   private def rawEdges(seed: Long) = {
     // Deliberately messy: duplicates, both orientations, self loops.
-    val base = GraphGen.erdosRenyi(20, 0.25, seed)
+    val base = TestGraphs.erdosRenyi(20, 0.25, seed)
     base ++ base.map { case (a, b) => (b, a) } ++ Seq((3L, 3L), (5L, 5L))
   }
 
@@ -19,7 +18,7 @@ class EdgeOpsSpec extends SparkSpec {
     val canon = EdgeOps.canonicalize(df).collect()
     canon.foreach(r => assert(r.getLong(0) < r.getLong(1)))
     assert(canon.map(r => (r.getLong(0), r.getLong(1))).distinct.length == canon.length)
-    assert(canon.length == GraphGen.erdosRenyi(20, 0.25, 1).size)
+    assert(canon.length == TestGraphs.erdosRenyi(20, 0.25, 1).size)
   }
 
   test("canonicalize result matches DuckDB (Oracle)") {
@@ -48,7 +47,7 @@ class EdgeOpsSpec extends SparkSpec {
   }
 
   test("degrees match the local kernel") {
-    val edges = GraphGen.erdosRenyi(30, 0.2, 4)
+    val edges = TestGraphs.erdosRenyi(30, 0.2, 4)
     val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
     val sparkDeg = EdgeOps.degrees(canon).collect()
       .map(r => r.getLong(0) -> r.getLong(1)).toMap
@@ -59,7 +58,7 @@ class EdgeOpsSpec extends SparkSpec {
   }
 
   test("stats: n, m, density, max degree") {
-    val edges = GraphGen.erdosRenyi(25, 0.3, 5)
+    val edges = TestGraphs.erdosRenyi(25, 0.3, 5)
     val canon = EdgeOps.canonicalize(EdgeOps.toDF(spark, edges))
     val s = EdgeOps.stats(canon)
     val g = AdjGraph.fromEdges(edges)
@@ -89,7 +88,7 @@ class EdgeOpsSpec extends SparkSpec {
   }
 
   test("toLocal round-trips through a DataFrame") {
-    val edges = GraphGen.erdosRenyi(22, 0.25, 8)
+    val edges = TestGraphs.erdosRenyi(22, 0.25, 8)
     val g = TestGraphs.toLocal(EdgeOps.canonicalize(EdgeOps.toDF(spark, edges)))
     val direct = AdjGraph.fromEdges(edges)
     assert(g.n == direct.n && g.m == direct.m)
@@ -97,7 +96,7 @@ class EdgeOpsSpec extends SparkSpec {
   }
 
   test("fromAdjGraph inverts toLocal") {
-    val edges = GraphGen.erdosRenyi(15, 0.3, 9)
+    val edges = TestGraphs.erdosRenyi(15, 0.3, 9)
     val g = AdjGraph.fromEdges(edges)
     val df = EdgeOps.toDF(spark, g.edgeList)
     val back = TestGraphs.toLocal(EdgeOps.canonicalize(df))

@@ -2,7 +2,7 @@ package repro.spark
 
 import repro.TestGraphs.GraphViews
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.gen.{Datasets, GraphGen}
+import repro.gen.Datasets
 import repro.graph.{AdjGraph, GraphOps}
 
 class KCoreSparkSpec extends SparkSpec {
@@ -19,12 +19,12 @@ class KCoreSparkSpec extends SparkSpec {
 
   for (seed <- 1 to 5; k <- Seq(2, 3, 4)) {
     test(s"distributed k-core equals local peeling (seed=$seed, k=$k)") {
-      check(GraphGen.erdosRenyi(25, 0.2, seed), k)
+      check(TestGraphs.erdosRenyi(25, 0.2, seed), k)
     }
   }
 
   test("k-core of a clique survives; above n-1 it vanishes") {
-    val clique = GraphGen.erdosRenyi(6, 1.0, 1)
+    val clique = TestGraphs.erdosRenyi(6, 1.0, 1)
     check(clique, 5)
     val df = EdgeOps.toDF(spark, clique)
     assert(TestGraphs.toLocal(KCoreSpark.kCore(df, 6)).m == 0)
@@ -42,7 +42,7 @@ class KCoreSparkSpec extends SparkSpec {
   }
 
   test("first peel iteration matches DuckDB degree filter (Oracle)") {
-    val edges = GraphGen.erdosRenyi(20, 0.25, 9)
+    val edges = TestGraphs.erdosRenyi(20, 0.25, 9)
     val df = EdgeOps.toDF(spark, edges)
     val k = 3
     // The first round keeps exactly the owned vertices whose degree is >= k.
@@ -59,11 +59,11 @@ class KCoreSparkSpec extends SparkSpec {
   }
 
   test("ids that are negative and beyond the Int range peel like the local kernel") {
-    for (seed <- 1 to 3; k <- Seq(2, 3)) check(TestGraphs.farIds(GraphGen.erdosRenyi(25, 0.2, seed)), k)
+    for (seed <- 1 to 3; k <- Seq(2, 3)) check(TestGraphs.farIds(TestGraphs.erdosRenyi(25, 0.2, seed)), k)
   }
 
   test("duplicates, reversed pairs and self-loops peel like the local kernel") {
-    for (seed <- 1 to 3; k <- Seq(2, 3)) check(TestGraphs.messy(GraphGen.erdosRenyi(25, 0.2, seed)), k)
+    for (seed <- 1 to 3; k <- Seq(2, 3)) check(TestGraphs.messy(TestGraphs.erdosRenyi(25, 0.2, seed)), k)
   }
 
   test("an empty edge list has an empty k-core") {

@@ -9,7 +9,7 @@ import scala.util.Random
 class KVCCSparkSpec extends SparkSpec {
 
   private def localReference(edges: Seq[(Long, Long)], k: Int): Vector[Vector[Long]] =
-    KVCCEnumerator.canonical(KVCCEnumerator.enumerate(AdjGraph.fromEdges(edges), k, Variant.Star))
+    TestGraphs.canonical(KVCCEnumerator.enumerate(AdjGraph.fromEdges(edges), k, Variant.Star))
 
   private def plantedEdges(seed: Long, blocks: Int, k: Int): Vector[(Long, Long)] = {
     val rnd = new Random(seed)
@@ -84,7 +84,7 @@ class KVCCSparkSpec extends SparkSpec {
   }
 
   test("a component spread over every partition is one k-VCC") {
-    val clique = GraphGen.erdosRenyi(30, 1.0, 1)
+    val clique = TestGraphs.erdosRenyi(30, 1.0, 1)
     val parts = spark.sparkContext.defaultParallelism
     assert((0L until 30L).map(Blocks.owner(_, parts)).toSet == (0 until parts).toSet)
     assert(KVCCSpark.enumerate(EdgeOps.toDF(spark, clique), 5, Variant.Star) == Vector((0L until 30L).toVector))
