@@ -4,18 +4,21 @@ import repro.graph.AdjGraph
 import scala.collection.mutable
 
 /** Directed flow graph for local vertex-connectivity testing (Section 4.1),
-  * held as flow state on the CSR of `g` with an implicit vertex split
+  * held as flow state beside the CSR of `g` with an implicit vertex split
   * (Even & Tarjan, SIAM J. Comput. 4(4), 1975).
   *
   * Every vertex `x` splits into `x_in = 2x` and `x_out = 2x+1` joined by an
-  * arc of capacity 1, whose unit is `split(x)`; CSR slot `s` of `x`, holding
-  * neighbour `w`, is the arc `x_out→w_in` with unbounded capacity and flow
-  * `flow(s)`. Only split arcs can saturate, so every minimum cut maps 1:1 to
-  * a vertex cut — Even's classic construction; the cut *value* is identical
-  * to the paper's all-capacity-1 variant. The residual arcs are:
+  * arc of capacity 1, whose unit is `split(x)`; each neighbour `w` of `x`
+  * gives the arc `x_out→w_in` with unbounded capacity. Only split arcs can
+  * saturate, so every minimum cut maps 1:1 to a vertex cut — Even's classic
+  * construction; the cut *value* is identical to the paper's
+  * all-capacity-1 variant. An in-node other than the sink's has one out-arc,
+  * its split arc, so at most one unit enters it, and one predecessor per
+  * vertex holds the flow: `prev(x)` is the vertex whose out-node sends the
+  * unit into `x_in`, or −1. The residual arcs are:
   *
-  *  - from `x_in`: to `x_out` if `!split(x)`, and to `w_out` when the arc
-  *    `w_out→x_in` (slot `twin(s)` of `w`) carries flow;
+  *  - from `x_in`: to `x_out` if `!split(x)`, and to `prev(x)_out` if
+  *    `prev(x) ≥ 0`;
   *  - from `x_out`: to `x_in` if `split(x)`, and to every `w_in`.
   *
   * Max-flow is seeded, then finished by BFS augmentation (Edmonds–Karp), with
@@ -26,30 +29,25 @@ import scala.collection.mutable
   * augmenting path carries exactly one unit (it must traverse a capacity-1
   * split arc), so a LOC-CUT test costs an O(d(u)+d(v)) merge plus
   * (k−c)·O(m) BFS, and none when `c ≥ k`. The network is built once per
-  * GLOBAL-CUT invocation, in one O(m) pass for `twin`; each flow computation
-  * first clears only the slots the previous one touched.
+  * GLOBAL-CUT invocation, in O(n); each flow computation first clears only
+  * the vertices the previous one touched.
   */
 final class FlowNetwork(g: AdjGraph) {
   private val off = g.offsets
   private val adj = g.adj
 
-  // twin(s): the slot of x in w's list, for slot s of x holding w.
-  private val twin = new Array[Int](adj.length)
-  g.foreachTwinSlots { (s, t) => twin(s) = t; twin(t) = s }
-
   // The flow, readable by the tests of this package.
-  private[core] val flow = new Array[Int](adj.length)
   private[core] val split = new Array[Boolean](g.n)
+  private[core] val prev = Array.fill(g.n)(-1)
 
   // Scratch space reused across searches. Node a is reached by the current
-  // search iff visit(a) == stamp; via(a) is the slot it was reached along,
-  // or −1 for its split arc.
+  // search iff visit(a) == stamp; via(a) is the node it was reached from.
   private val via = new Array[Int](2 * g.n)
   private val queue = new Array[Int](2 * g.n)
   private val visit = new Array[Int](2 * g.n)
   private var stamp = 0
-  // Slots whose flow the last computation raised (duplicates allowed). A
-  // vertex whose split arc carries a unit is the head of one of them.
+  // Vertices whose `prev` the last computation set (duplicates allowed).
+  // Every vertex whose split arc carries a unit is one of them.
   private var touched = new Array[Int](16)
   private var touchedCount = 0
   // True iff the last search failed, so its stamps mark the residual-reachable set.
@@ -60,19 +58,19 @@ final class FlowNetwork(g: AdjGraph) {
     stamp += 1
   }
 
-  /** Push one unit along slot `s` and record it for the next clear. */
-  private def push(s: Int): Unit = {
-    flow(s) += 1
+  /** The unit entering `x_in` now comes from `w_out`; records `x` for the next clear. */
+  private def setPrev(x: Int, w: Int): Unit = {
+    prev(x) = w
     if (touchedCount == touched.length) touched = java.util.Arrays.copyOf(touched, 2 * touchedCount)
-    touched(touchedCount) = s; touchedCount += 1
+    touched(touchedCount) = x; touchedCount += 1
   }
 
-  /** Zero the flow on every slot the previous computation touched. */
+  /** Zero the flow through every vertex the previous computation touched. */
   private def clearFlow(): Unit = {
     var i = 0
     while (i < touchedCount) {
-      val s = touched(i)
-      flow(s) = 0; split(adj(s)) = false
+      val x = touched(i)
+      prev(x) = -1; split(x) = false
       i += 1
     }
     touchedCount = 0
@@ -89,26 +87,31 @@ final class FlowNetwork(g: AdjGraph) {
     while (qh < qt) {
       val a = queue(qh); qh += 1
       val x = a >> 1
-      val out = (a & 1) == 1
       // The split arc, forwards from x_in or backwards from x_out. It never
       // enters t: t's split arc carries no flow.
-      if (out == split(x) && visit(a ^ 1) != stamp) {
-        visit(a ^ 1) = stamp; via(a ^ 1) = -1
+      if (((a & 1) == 1) == split(x) && visit(a ^ 1) != stamp) {
+        visit(a ^ 1) = stamp; via(a ^ 1) = a
         queue(qt) = a ^ 1; qt += 1
       }
-      val side = 1 - (a & 1) // x_out reaches w_in, x_in reaches w_out
-      var i = off(x)
-      val end = off(x + 1)
-      while (i < end) {
-        if (out || flow(twin(i)) > 0) {
-          val b = 2 * adj(i) + side
+      if ((a & 1) == 0) {
+        // Back along the arc that sends x_in its unit.
+        val w = prev(x)
+        if (w >= 0 && visit(2 * w + 1) != stamp) {
+          visit(2 * w + 1) = stamp; via(2 * w + 1) = a
+          queue(qt) = 2 * w + 1; qt += 1
+        }
+      } else {
+        var i = off(x)
+        val end = off(x + 1)
+        while (i < end) {
+          val b = 2 * adj(i)
           if (visit(b) != stamp) {
-            visit(b) = stamp; via(b) = i
+            visit(b) = stamp; via(b) = a
             if (b == t) return true
             queue(qt) = b; qt += 1
           }
+          i += 1
         }
-        i += 1
       }
     }
     false
@@ -130,7 +133,7 @@ final class FlowNetwork(g: AdjGraph) {
     while (i < iEnd && j < jEnd && f < limit) {
       val a = adj(i); val b = adj(j)
       if (a == b) {
-        push(i); split(a) = true; push(twin(j))
+        setPrev(a, u); split(a) = true
         f += 1; i += 1; j += 1
       } else if (a < b) i += 1
       else j += 1
@@ -139,17 +142,14 @@ final class FlowNetwork(g: AdjGraph) {
     val t = 2 * v
     while (f < limit && search(s, t)) {
       // Each augmenting path has unit bottleneck (it crosses a split arc).
-      var b = t
+      // It enters t along a forward arc, which no `prev` records.
+      var b = via(t)
       while (b != s) {
-        val i = via(b)
-        if (i < 0) {
-          split(b >> 1) = (b & 1) == 1
-          b ^= 1
-        } else {
-          val x = adj(twin(i))
-          if ((b & 1) == 0) { push(i); b = 2 * x + 1 } // along x_out→w_in
-          else { flow(twin(i)) -= 1; b = 2 * x } // back along w_out→x_in
-        }
+        val a = via(b)
+        if (a == (b ^ 1)) split(b >> 1) = (b & 1) == 1 // along or back along a split arc
+        else if ((b & 1) == 0) setPrev(b >> 1, a >> 1) // along a_out→b_in
+        else prev(a >> 1) = -1 // back along b_out→a_in
+        b = a
       }
       f += 1
     }

@@ -141,9 +141,24 @@ object SparseCertificate {
     }
 
     // Twin slots: at most one of the two holds a label; the other is still 0.
-    g.foreachTwinSlots { (s, t) =>
-      val l = math.max(label(s), label(t))
-      label(s) = l; label(t) = l
+    // For slot s of x holding w > x, the slot of x in w's list is cursor(w):
+    // lists are sorted and x runs upwards, so w meets its smaller neighbours
+    // in list order.
+    val cursor = java.util.Arrays.copyOf(off, n)
+    var x = 0
+    while (x < n) {
+      var s = off(x)
+      while (s < off(x + 1)) {
+        val w = adj(s)
+        if (w > x) {
+          val t = cursor(w)
+          val l = math.max(label(s), label(t))
+          label(s) = l; label(t) = l
+          cursor(w) += 1
+        }
+        s += 1
+      }
+      x += 1
     }
     label
   }

@@ -29,24 +29,6 @@ final class AdjGraph private[graph] (
     while (i < end) { f(adj(i)); i += 1 }
   }
 
-  /** Apply `f(s, t)` once per edge {x, w} with x < w, where `s` is the slot
-    * of w in x's list and `t` the slot of x in w's list. Lists are sorted and
-    * x runs upwards, so t is always w's next slot: one cursor pass.
-    */
-  def foreachTwinSlots(f: (Int, Int) => Unit): Unit = {
-    val cursor = java.util.Arrays.copyOf(offsets, n)
-    var x = 0
-    while (x < n) {
-      var s = offsets(x)
-      while (s < offsets(x + 1)) {
-        val w = adj(s)
-        if (w > x) { f(s, cursor(w)); cursor(w) += 1 }
-        s += 1
-      }
-      x += 1
-    }
-  }
-
   /** True iff edge (u,v) exists (binary search on the sorted adjacency). */
   def hasEdge(u: Int, v: Int): Boolean = {
     var lo = offsets(u)

@@ -191,23 +191,31 @@ class FlowNetworkSpec extends SparkSpec {
     }
   }
 
-  /** Flow conservation on every node, unit split arcs, and `value` units
-    * leaving `u_out` and entering `v_in`; nothing enters `u_in` or leaves `v_out`.
+  /** The flow `prev`/`split` hold for non-adjacent u, v: every `prev` is an
+    * edge of `g`; every other vertex carries one unit iff its split arc
+    * does, and sends at most one on; a unit with no successor ends at a
+    * neighbour of `v`; `value` units leave `u_out` and enter `v_in`; nothing
+    * enters `u_in` or leaves `v_out`.
     */
   private def assertFeasible(g: AdjGraph, fn: FlowNetwork, u: Int, v: Int, value: Int): Unit = {
-    val into = new Array[Int](g.n) // flow entering x_in
-    val outOf = new Array[Int](g.n) // flow leaving x_out
-    for (x <- 0 until g.n; s <- g.offsets(x) until g.offsets(x + 1)) {
-      assert(fn.flow(s) == 0 || fn.flow(s) == 1, s"slot $s carries ${fn.flow(s)}")
-      outOf(x) += fn.flow(s); into(g.adj(s)) += fn.flow(s)
+    assert(!g.hasEdge(u, v))
+    val sent = new Array[Int](g.n) // units leaving x_out for some w_in, w != v
+    for (w <- 0 until g.n if fn.prev(w) >= 0) {
+      assert(g.hasEdge(fn.prev(w), w), s"prev($w) = ${fn.prev(w)} is not a neighbour")
+      sent(fn.prev(w)) += 1
     }
+    var intoV = 0
     for (x <- 0 until g.n if x != u && x != v) {
-      val unit = if (fn.split(x)) 1 else 0
-      assert(into(x) == unit && outOf(x) == unit, s"x=$x in=${into(x)} split=$unit out=${outOf(x)}")
+      assert((fn.prev(x) >= 0) == fn.split(x), s"x=$x prev=${fn.prev(x)} split=${fn.split(x)}")
+      assert(sent(x) <= (if (fn.split(x)) 1 else 0), s"x=$x sends ${sent(x)}")
+      if (fn.split(x) && sent(x) == 0) {
+        assert(g.hasEdge(x, v), s"the unit through x=$x ends away from v=$v")
+        intoV += 1
+      }
     }
-    assert(!fn.split(u) && !fn.split(v))
-    assert(into(u) == 0 && outOf(u) == value, s"source u=$u")
-    assert(into(v) == value && outOf(v) == 0, s"sink v=$v")
+    assert(sent(u) == value && intoV == value, s"u=$u sends ${sent(u)}, v=$v receives $intoV, value $value")
+    assert(fn.prev(u) < 0 && !fn.split(u), s"source u=$u")
+    assert(fn.prev(v) < 0 && !fn.split(v) && sent(v) == 0, s"sink v=$v")
   }
 
   test("u and v in different components: flow 0 and an empty cut") {
@@ -259,6 +267,21 @@ class FlowNetworkSpec extends SparkSpec {
     assert(BruteForce.localConnectivityNaive(g, 0, 5) == 2)
     assert(fn.maxFlowUpTo(0, 5, 3) == 2)
     assertFeasible(g, fn, 0, 5, 2)
+    assert(fn.minCutVertices().toSeq == Seq(1, 2))
+  }
+
+  test("a maximum flow whose augmenting path cancels a unit through a whole vertex") {
+    // u=0 reaches v=9 through p=1 or q=2. The unique shortest path is
+    // u-p-a-b-v with a=3, b=4. The second unit's only route is q, q2=5, b,
+    // then back through the whole of a to p, and r=6, s=7, t=8 into v; a
+    // ends up carrying nothing.
+    val g = AdjGraph.fromEdges(Seq((0L, 1L), (0L, 2L), (1L, 3L), (3L, 4L), (4L, 9L), (2L, 5L), (5L, 4L),
+      (1L, 6L), (6L, 7L), (7L, 8L), (8L, 9L)))
+    val fn = new FlowNetwork(g)
+    assert(BruteForce.localConnectivityNaive(g, 0, 9) == 2)
+    assert(fn.maxFlowUpTo(0, 9, 3) == 2)
+    assertFeasible(g, fn, 0, 9, 2)
+    assert(!fn.split(3) && fn.prev(3) < 0)
     assert(fn.minCutVertices().toSeq == Seq(1, 2))
   }
 

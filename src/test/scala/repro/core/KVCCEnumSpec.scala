@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
-import repro.gen.GraphGen
+import repro.gen.{Datasets, GraphGen}
 import repro.graph.AdjGraph
 
 /** Ground-truth validation of KVCC-ENUM against the subset-enumeration
@@ -101,6 +101,32 @@ class KVCCEnumSpec extends SparkSpec {
             s"block $blk not contained in any k-VCC")
         }
       }
+    }
+  }
+
+  /** Every `KvccStats` counter on the Cnr substitute (generator ids, scale
+    * 1/32), as recorded at commit 0e2c13d: calls, partitions, flow tests,
+    * phase-1 processed, phase-1 tested, NS1, NS2, GS. A change that moves a
+    * counter on purpose updates this table and names the move in CHANGES.md.
+    */
+  private val cnrCounters: Map[(Int, String), Seq[Long]] = Map(
+    (20, "VCCE") -> Seq(33L, 16L, 1964L, 2152L, 2152L, 0L, 0L, 0L),
+    (20, "VCCE-N") -> Seq(33L, 16L, 138L, 1300L, 36L, 376L, 888L, 0L),
+    (20, "VCCE-G") -> Seq(33L, 16L, 224L, 1300L, 430L, 0L, 0L, 870L),
+    (20, "VCCE*") -> Seq(33L, 16L, 113L, 1300L, 22L, 420L, 26L, 832L),
+    (40, "VCCE") -> Seq(19L, 8L, 2210L, 1535L, 1535L, 0L, 0L, 0L),
+    (40, "VCCE-N") -> Seq(20L, 9L, 910L, 1077L, 213L, 366L, 498L, 0L),
+    (40, "VCCE-G") -> Seq(20L, 9L, 1127L, 1077L, 802L, 0L, 0L, 275L),
+    (40, "VCCE*") -> Seq(20L, 9L, 896L, 1077L, 203L, 371L, 235L, 268L))
+
+  test("KvccStats on the Cnr substitute equal their recorded values, every variant, 1 and 4 threads") {
+    val g = AdjGraph.fromEdges(Datasets.generate(Datasets.byName("Cnr"), 1.0 / 32))
+    for (k <- Seq(20, 40); variant <- Variant.all; threads <- Seq(1, 4)) {
+      val s = new KvccStats
+      KVCCEnumerator.enumerate(g, k, variant, s, threads)
+      val got = Seq(s.globalCutCalls, s.partitions, s.flowTests, s.phase1Processed, s.phase1Tested,
+        s.prunedNs1, s.prunedNs2, s.prunedGs)
+      assert(got == cnrCounters((k, variant.name)), s"k=$k ${variant.name} threads=$threads")
     }
   }
 }
