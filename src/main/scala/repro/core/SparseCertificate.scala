@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.AdjGraph
+import repro.graph.{AdjGraph, GraphOps}
 
 /** Sparse certificate of k-vertex connectivity (Section 4.2, Theorem 5) and
   * side-groups (Section 5.2, Theorem 10), from one Nagamochi–Ibaraki scan.
@@ -24,11 +24,20 @@ import repro.graph.AdjGraph
   *    (Theorem 10), so each component is a side-group; only groups with
   *    more than k vertices are useful for sweeping and are returned.
   *
-  * Cost O(n + m) per call: a bucket queue over r, capped at k since labels
-  * above k only mean "not in the certificate"; one pass over the slots to
-  * give each edge's twin slot its label; one to copy the certificate; and
-  * a BFS over the `F_k` slots for the side-groups. k separate scan-first searches, as
-  * in the paper, would cost O(k·m).
+  * Cost O(n + m) per call, in three steps:
+  *  1. the scan, over a bucket queue on r capped at k (labels above k only
+  *     mean "not in the certificate"). Each bucket b ≥ 1 is a lazy LIFO
+  *     stack: a label event pushes its vertex on bucket r(y), and a pop
+  *     skips entries whose vertex has since moved up or been scanned.
+  *     Bucket 0 is a cursor over the indices in ascending order. So the
+  *     scan takes the most recent live push of the top bucket: ties in r go
+  *     to the vertex that reached its count last, and the first scan is
+  *     vertex 0, so labels depend only on `g`;
+  *  2. one pass over the slots that gives each edge's twin slot its label
+  *     and copies the labelled slots into the certificate;
+  *  3. a BFS over the label-k edges the scan recorded, at most n − 1 of
+  *     them, counting-sorted into ascending lists, for the side-groups.
+  * k separate scan-first searches, as in the paper, would cost O(k·m).
   */
 object SparseCertificate {
 
@@ -38,128 +47,154 @@ object SparseCertificate {
   final case class Cert(graph: AdjGraph, sideGroups: Vector[Array[Int]])
 
   def compute(g: AdjGraph, k: Int): Cert = {
-    require(k >= 1, s"k must be >= 1, got $k")
-    val n = g.n
-    val off = g.offsets
-    val adj = g.adj
-    val label = forestLabels(g, k)
-
-    // Certificate: the labelled slots in slot order, so lists stay sorted.
-    val certOffsets = new Array[Int](n + 1)
-    var s = 0
-    var v = 0
-    while (v < n) {
-      certOffsets(v + 1) = certOffsets(v)
-      while (s < off(v + 1)) { if (label(s) > 0) certOffsets(v + 1) += 1; s += 1 }
-      v += 1
-    }
-    val certAdj = new Array[Int](certOffsets(n))
-    var c = 0
-    s = 0
-    while (s < adj.length) {
-      if (label(s) > 0) { certAdj(c) = adj(s); c += 1 }
-      s += 1
-    }
-
-    // Side-groups: components of F_k with more than k members, by BFS over
-    // the label-k slots. Each BFS fills one segment of `queue`: its group.
-    val seen = new Array[Boolean](n)
-    val queue = new Array[Int](n)
-    val groups = Vector.newBuilder[Array[Int]]
-    var qt = 0
-    var root = 0
-    while (root < n) {
-      if (!seen(root)) {
-        val start = qt
-        seen(root) = true
-        queue(qt) = root; qt += 1
-        var qh = start
-        while (qh < qt) {
-          val x = queue(qh); qh += 1
-          var t = off(x)
-          while (t < off(x + 1)) {
-            val y = adj(t)
-            if (label(t) == k && !seen(y)) { seen(y) = true; queue(qt) = y; qt += 1 }
-            t += 1
-          }
-        }
-        if (qt - start > k) groups += java.util.Arrays.copyOfRange(queue, start, qt)
-      }
-      root += 1
-    }
-    Cert(AdjGraph.unsafe(g.ids, certOffsets, certAdj), groups.result())
+    val s = scan(g, k)
+    Cert(fuse(g, s), sideGroups(g, k, s))
   }
 
   /** Forest index of every CSR slot of `g` (both slots of an edge carry the
     * same label): i in 1..k for an edge of `F_i`, 0 for an edge in no `F_i`
-    * with i ≤ k. Ties in r go to the vertex that reached its count last,
-    * and the first scan is vertex 0, so labels depend only on `g`.
+    * with i ≤ k.
     */
   private[core] def forestLabels(g: AdjGraph, k: Int): Array[Int] = {
+    val s = scan(g, k)
+    fuse(g, s)
+    s.label
+  }
+
+  /** What the scan leaves: each labelled edge's label on the slot it was
+    * labelled from (its twin still 0), the number of labelled edges, and
+    * the `nk` label-k edges as pairs `(kEdges(2i), kEdges(2i + 1))`.
+    */
+  private final class Scan(val label: Array[Int], val labelled: Int, val kEdges: Array[Int], val nk: Int)
+
+  private def scan(g: AdjGraph, k: Int): Scan = {
+    require(k >= 1, s"k must be >= 1, got $k")
     val n = g.n
     val off = g.offsets
     val adj = g.adj
     val label = new Array[Int](adj.length)
+    val kEdges = new Array[Int](2 * math.max(n - 1, 0))
+    var nk = 0
 
-    // Bucket queue: doubly linked lists of unscanned vertices per r in 0..k.
+    // r(v) = Int.MaxValue marks a scanned vertex, so `r(y) < k` alone
+    // decides whether a slot is labelled.
     val r = new Array[Int](n)
-    val next = new Array[Int](n)
-    val prev = new Array[Int](n)
-    val head = Array.fill(k + 1)(-1)
-    def push(v: Int): Unit = {
-      val b = r(v)
-      prev(v) = -1; next(v) = head(b)
-      if (head(b) >= 0) prev(head(b)) = v
-      head(b) = v
-    }
-    def unlink(v: Int): Unit = {
-      if (prev(v) >= 0) next(prev(v)) = next(v) else head(r(v)) = next(v)
-      if (next(v) >= 0) prev(next(v)) = prev(v)
-    }
-    val scanned = new Array[Boolean](n)
-    var v = n - 1
-    while (v >= 0) { push(v); v -= 1 }
-
+    // Stack entries: the vertex at 2e, the entry below it at 2e + 1. Each
+    // label event pushes one, and a vertex takes at most k of them.
+    val stack = new Array[Int](2 * math.min(adj.length / 2L, k.toLong * n).toInt)
+    val head = new Array[Int](k + 1)
+    java.util.Arrays.fill(head, -1)
+    var entries = 0
+    var zero = 0
     var top = 0
     var left = n
     while (left > 0) {
-      while (head(top) < 0) top -= 1
-      val x = head(top)
-      unlink(x)
-      scanned(x) = true
+      var x = -1
+      while (x < 0) {
+        if (top == 0) {
+          while (r(zero) != 0) zero += 1
+          x = zero
+        } else {
+          var e = head(top)
+          while (e >= 0 && r(stack(2 * e)) != top) e = stack(2 * e + 1)
+          if (e >= 0) { x = stack(2 * e); head(top) = stack(2 * e + 1) }
+          else { head(top) = -1; top -= 1 }
+        }
+      }
+      r(x) = Int.MaxValue
       left -= 1
       var s = off(x)
-      while (s < off(x + 1)) {
+      val end = off(x + 1)
+      while (s < end) {
         val y = adj(s)
-        if (!scanned(y) && r(y) < k) {
-          unlink(y); r(y) += 1; push(y)
-          if (r(y) > top) top = r(y)
-          label(s) = r(y)
+        val ry = r(y)
+        if (ry < k) {
+          val l = ry + 1
+          r(y) = l
+          label(s) = l
+          stack(2 * entries) = y; stack(2 * entries + 1) = head(l); head(l) = entries
+          entries += 1
+          if (l > top) top = l
+          if (l == k) { kEdges(2 * nk) = x; kEdges(2 * nk + 1) = y; nk += 1 }
         }
         s += 1
       }
     }
+    new Scan(label, entries, kEdges, nk)
+  }
 
-    // Twin slots: at most one of the two holds a label; the other is still 0.
-    // For slot s of x holding w > x, the slot of x in w's list is cursor(w):
-    // lists are sorted and x runs upwards, so w meets its smaller neighbours
-    // in list order.
+  /** One pass over the slots: gives each twin slot its label and copies the
+    * labelled slots, in slot order so lists stay sorted, into the
+    * certificate. For slot s of x holding w > x, the slot of x in w's list
+    * is cursor(w): lists are sorted and x runs upwards, so w meets its
+    * smaller neighbours in list order. At most one of the two slots holds a
+    * label; the other is still 0.
+    */
+  private def fuse(g: AdjGraph, sc: Scan): AdjGraph = {
+    val n = g.n
+    val off = g.offsets
+    val adj = g.adj
+    val label = sc.label
     val cursor = java.util.Arrays.copyOf(off, n)
+    val certOffsets = new Array[Int](n + 1)
+    val certAdj = new Array[Int](2 * sc.labelled)
+    var c = 0
     var x = 0
     while (x < n) {
       var s = off(x)
-      while (s < off(x + 1)) {
+      val end = off(x + 1)
+      while (s < end) {
         val w = adj(s)
         if (w > x) {
           val t = cursor(w)
-          val l = math.max(label(s), label(t))
+          val l = label(s) + label(t)
           label(s) = l; label(t) = l
-          cursor(w) += 1
+          cursor(w) = t + 1
         }
+        if (label(s) > 0) { certAdj(c) = w; c += 1 }
         s += 1
       }
+      certOffsets(x + 1) = c
       x += 1
     }
-    label
+    AdjGraph.unsafe(g.ids, certOffsets, certAdj)
+  }
+
+  /** Components of F_k with more than k members, as `connectedComponents`
+    * gives them: a counting sort puts the label-k edges into ascending
+    * lists, so groups and their members come in the order of a BFS over the
+    * label-k slots from roots in ascending order.
+    */
+  private def sideGroups(g: AdjGraph, k: Int, sc: Scan): Vector[Array[Int]] = {
+    val n = g.n
+    val nk = sc.nk
+    // A tree with more than k vertices has at least k edges.
+    if (nk < k) return Vector.empty
+    val kEdges = sc.kEdges
+    val off = new Array[Int](n + 1)
+    var i = 0
+    while (i < 2 * nk) { off(kEdges(i) + 1) += 1; i += 1 }
+    var v = 0
+    while (v < n) { off(v + 1) += off(v); v += 1 }
+    // Arcs bucketed by target, then the targets in ascending order into
+    // their sources' lists.
+    val from = new Array[Int](2 * nk)
+    val cursor = java.util.Arrays.copyOf(off, n)
+    i = 0
+    while (i < nk) {
+      val a = kEdges(2 * i); val b = kEdges(2 * i + 1)
+      from(cursor(b)) = a; cursor(b) += 1
+      from(cursor(a)) = b; cursor(a) += 1
+      i += 1
+    }
+    val fk = new Array[Int](2 * nk)
+    System.arraycopy(off, 0, cursor, 0, n)
+    var t = 0
+    while (t < n) {
+      var j = off(t)
+      while (j < off(t + 1)) { val s = from(j); fk(cursor(s)) = t; cursor(s) += 1; j += 1 }
+      t += 1
+    }
+    GraphOps.connectedComponents(AdjGraph.unsafe(g.ids, off, fk)).filter(_.length > k)
   }
 }

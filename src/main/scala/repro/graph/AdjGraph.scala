@@ -71,29 +71,28 @@ final class AdjGraph private[graph] (
   def induced(keep: Array[Int]): AdjGraph = {
     val sorted = keep.clone()
     java.util.Arrays.sort(sorted)
-    val map = Array.fill(n)(-1) // parent index → new index, −1 if dropped
+    val nk = sorted.length
+    val map = new Array[Int](n) // parent index → new index + 1, 0 if dropped
+    val newIds = new Array[Long](nk)
     var i = 0
-    while (i < sorted.length) { map(sorted(i)) = i; i += 1 }
-    val newIds = sorted.map(ids)
-    val degs = new Array[Int](sorted.length)
+    while (i < nk) { val v = sorted(i); map(v) = i + 1; newIds(i) = ids(v); i += 1 }
+    val newOffsets = new Array[Int](nk + 1)
     i = 0
-    while (i < sorted.length) {
-      val v = sorted(i)
-      foreachNeighbor(v) { w => if (map(w) >= 0) degs(i) += 1 }
+    while (i < nk) {
+      var d = 0
+      var s = offsets(sorted(i))
+      val end = offsets(sorted(i) + 1)
+      while (s < end) { if (map(adj(s)) != 0) d += 1; s += 1 }
+      newOffsets(i + 1) = newOffsets(i) + d
       i += 1
     }
-    val newOffsets = new Array[Int](sorted.length + 1)
+    val newAdj = new Array[Int](newOffsets(nk))
+    var c = 0
     i = 0
-    while (i < sorted.length) { newOffsets(i + 1) = newOffsets(i) + degs(i); i += 1 }
-    val newAdj = new Array[Int](newOffsets(sorted.length))
-    val cursor = newOffsets.clone()
-    i = 0
-    while (i < sorted.length) {
-      val v = sorted(i)
-      foreachNeighbor(v) { w =>
-        val j = map(w)
-        if (j >= 0) { newAdj(cursor(i)) = j; cursor(i) += 1 }
-      }
+    while (i < nk) {
+      var s = offsets(sorted(i))
+      val end = offsets(sorted(i) + 1)
+      while (s < end) { val j = map(adj(s)); if (j != 0) { newAdj(c) = j - 1; c += 1 }; s += 1 }
       i += 1
     }
     // Neighbor lists stay sorted because `sorted` preserves index order.

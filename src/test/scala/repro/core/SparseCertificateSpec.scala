@@ -2,7 +2,9 @@ package repro.core
 
 import repro.TestGraphs.GraphViews
 import repro.{SparkSpec, TestGraphs}
+import repro.gen.Datasets
 import repro.graph.{AdjGraph, GraphOps}
+import scala.collection.mutable
 
 class SparseCertificateSpec extends SparkSpec {
 
@@ -166,6 +168,47 @@ class SparseCertificateSpec extends SparkSpec {
         found += groups.length
       }
       assert(found > 0, s"no side-group at k=$k")
+    }
+  }
+
+  /** `compute` and `forestLabels` equal `CertificateOracle` array for array:
+    * labels, certificate offsets and adjacency, and every side-group in order.
+    */
+  private def assertMatchesOracle(g: AdjGraph, k: Int, what: String): Unit = {
+    val got = SparseCertificate.compute(g, k)
+    val want = CertificateOracle.compute(g, k)
+    assert(SparseCertificate.forestLabels(g, k).sameElements(CertificateOracle.forestLabels(g, k)), s"$what labels")
+    assert(got.graph.ids.sameElements(want.graph.ids), s"$what ids")
+    assert(got.graph.offsets.sameElements(want.graph.offsets), s"$what offsets")
+    assert(got.graph.adj.sameElements(want.graph.adj), s"$what adj")
+    assert(got.sideGroups.length == want.sideGroups.length, s"$what side-group count")
+    got.sideGroups.lazyZip(want.sideGroups).foreach((a, b) => assert(a.sameElements(b), s"$what side-group"))
+  }
+
+  test("one-scan certificate equals the oracle on random graphs, k = 1..8") {
+    for (n <- 10 to 60 by 5; p <- Seq(0.05, 0.15, 0.4, 0.8); seed <- 1 to 3) {
+      val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(n, p, n * 1000L + (p * 100).toLong * 10 + seed))
+      for (k <- 1 to 8) assertMatchesOracle(g, k, s"n=$n p=$p seed=$seed k=$k")
+    }
+  }
+
+  test("one-scan certificate equals the oracle on every GLOBAL-CUT input of VCCE* on two substitutes") {
+    for (name <- Seq("Cit", "Cnr")) {
+      val g0 = AdjGraph.fromEdges(Datasets.generate(Datasets.byName(name), 1.0 / 1024))
+      for (k <- Seq(10, 15, 20, 30)) {
+        val work = mutable.Stack(g0)
+        var inputs = 0
+        while (work.nonEmpty) {
+          val h = GraphOps.kCore(work.pop(), k)
+          if (h.n > 0) for (comp <- GraphOps.componentSubgraphs(h)) {
+            for (kk <- Seq(1, k / 2, k, k + 5)) assertMatchesOracle(comp, kk, s"$name k=$k input $inputs at k=$kk")
+            inputs += 1
+            GlobalCutStar.find(comp, k, Variant.Star, new KvccStats)
+              .foreach(cut => Overlap.partition(comp, cut).foreach(work.push))
+          }
+        }
+        assert(inputs > 1, s"$name k=$k: $inputs GLOBAL-CUT inputs")
+      }
     }
   }
 }

@@ -236,4 +236,34 @@ class AdjGraphSpec extends SparkSpec {
     assert(g.n == 4)
     assert(g.ids.toSeq == Seq(0L, 1L, 2L, 3L))
   }
+
+  /** `induced` built from sets: the kept vertices in ascending order, and an
+    * edge wherever both ends are kept.
+    */
+  private def referenceInduced(g: AdjGraph, keep: Array[Int]): AdjGraph = {
+    val kept = keep.toSet.toVector.sorted
+    val index = kept.zipWithIndex.toMap
+    val lists = kept.map(v => g.adj.slice(g.offsets(v), g.offsets(v + 1)).filter(index.contains).map(index))
+    AdjGraph.unsafe(kept.map(g.ids).toArray, lists.scanLeft(0)(_ + _.length).toArray, lists.flatten.toArray)
+  }
+
+  test("induced equals a set-based construction, array for array") {
+    val rnd = new Random(7)
+    for (seed <- 1 to 40) {
+      val n = 1 + rnd.nextInt(40)
+      val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(n, rnd.nextDouble(), seed, offset = 100L),
+        extraIds = 100L until 100L + n)
+      val all = rnd.shuffle((0 until n).toVector)
+      val keeps = Seq(Array.emptyIntArray, Array(rnd.nextInt(n)), all.toArray, (0 until n).toArray) ++
+        Seq.fill(6)(all.filter(_ => rnd.nextBoolean()).toArray)
+      for (keep <- keeps) {
+        val got = g.induced(keep)
+        val want = referenceInduced(g, keep)
+        val what = s"seed=$seed keep=${keep.toList}"
+        assert(got.ids.sameElements(want.ids), what)
+        assert(got.offsets.sameElements(want.offsets), what)
+        assert(got.adj.sameElements(want.adj), what)
+      }
+    }
+  }
 }
