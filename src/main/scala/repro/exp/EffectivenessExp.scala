@@ -18,7 +18,9 @@ object EffectivenessExp {
   final case class Row(k: Int, model: String, count: Int, avgDiam: Double,
       avgDensity: Double, avgClustering: Double)
 
-  /** Small fixture: 10 blocks with κ targets ~8–28 plus random bridges. */
+  /** Small fixture: 10 dense blocks with κ targets ~8–28, chained into a
+    * random tree by 2–5 shared vertices per link.
+    */
   def fixture(seed: Long = 7): AdjGraph = {
     val rnd = new Random(seed)
     val specs = Vector.tabulate(10) { i =>
@@ -27,7 +29,7 @@ object EffectivenessExp {
       GraphGen.BlockSpec(size, math.min(0.95, kappa * 1.2 / (size - 1)), overlap = 2 + rnd.nextInt(4))
     }
     val planted = GraphGen.plantedBlocks(specs, rnd)
-    // Sparse bridges so k-cores / k-ECCs merge blocks that k-VCCs separate.
+    // The shared vertices let k-cores and k-ECCs merge blocks that k-VCCs separate.
     AdjGraph.fromEdges(planted.edges)
   }
 

@@ -9,27 +9,24 @@ import repro.graph.AdjGraph
 /** One partition of a graph that is hash-partitioned by vertex (DESIGN.md §4).
   *
   * `graph` holds every edge incident to a vertex this partition owns, so an
-  * owned vertex's list is its whole neighbourhood and its degree is its
-  * global degree; the other vertices of `graph` are neighbours owned
-  * elsewhere. Per local index: `owned`; `alive`, cleared when k-core peeling
-  * removes the vertex; `degree`, an owned vertex's number of live slots. Per
-  * slot of `graph.adj`: `dead`, set once the slot's neighbour is removed.
+  * owned vertex's list is its whole neighbourhood; the other vertices of
+  * `graph` are ghosts, neighbours owned elsewhere. Per local index: `owned`,
+  * and `alive`, cleared when k-core peeling removes the vertex; for an owned
+  * vertex it is exact. A ghost is cleared when its owner reports it removed,
+  * and the owner reports it only to the owners of its live neighbours, so a
+  * ghost stays alive after its removal only when all of its neighbours here
+  * are dead: then it counts towards no live degree and lies on no live edge.
   *
   * A block is never changed once built: a peeling round makes a new one, so a
   * recomputed partition cannot see a round applied twice.
   */
-final class Block private[spark] (
-    val graph: AdjGraph,
-    val owned: Array[Boolean],
-    val alive: Array[Boolean],
-    val degree: Array[Int],
-    val dead: Array[Boolean])
+final class Block private[spark] (val graph: AdjGraph, val owned: Array[Boolean], val alive: Array[Boolean])
     extends Serializable {
 
   /** Applies `f` to each live edge `(v, w)`, in local indices, where `v` is
-    * owned and alive, the slot to `w` is live, and `ids(v) < ids(w)`. Over
-    * all blocks of a graph, every live edge is visited exactly once: by the
-    * owner of its smaller endpoint.
+    * owned, both ends are alive, and `ids(v) < ids(w)`. Over all blocks of a
+    * graph, every live edge is visited exactly once: by the owner of its
+    * smaller endpoint.
     */
   def foreachLiveEdge(f: (Int, Int) => Unit): Unit = {
     val g = graph
@@ -40,7 +37,7 @@ final class Block private[spark] (
         val end = g.offsets(v + 1)
         while (s < end) {
           val w = g.adj(s)
-          if (!dead(s) && g.ids(v) < g.ids(w)) f(v, w)
+          if (alive(w) && g.ids(v) < g.ids(w)) f(v, w)
           s += 1
         }
       }
@@ -80,9 +77,7 @@ object Blocks {
       }
     }.mapPartitionsWithIndex { (p, it) =>
       val g = AdjGraph.fromPairs(it.next())
-      val owned = g.ids.map(owner(_, parts) == p)
-      val degree = Array.tabulate(g.n)(v => if (owned(v)) g.degree(v) else 0)
-      Iterator.single(new Block(g, owned, owned.clone(), degree, new Array[Boolean](g.adj.length)))
+      Iterator.single(new Block(g, g.ids.map(owner(_, parts) == p), Array.fill(g.n)(true)))
     }
   }
 

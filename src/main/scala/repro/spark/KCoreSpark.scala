@@ -8,12 +8,13 @@ import org.apache.spark.sql.DataFrame
   * Pellegrini & Miorandi ("Distributed k-core decomposition", IEEE TPDS
   * 24(2), 2013): only the neighbours of removed vertices hear about it.
   *
-  * Each synchronous round is one Spark job. The frontier (owned, alive,
-  * degree < k) is removed; each removed vertex sends `(neighbour, removed)`
-  * along its live slots to the neighbour's owner, which marks the slot dead
-  * and decrements the degree. The same job counts the next frontier, and
-  * peeling stops when it is empty. Each round's blocks are local-checkpointed,
-  * so a round never recomputes an earlier one.
+  * A block's only state is which of its vertices are alive (`Block`). Each
+  * synchronous round is one Spark job. The frontier (owned, alive, fewer than
+  * k live neighbours) is removed; each removed vertex sends its id to the
+  * owner of each of its live neighbours owned elsewhere, which marks it dead.
+  * The same job counts the next frontier, and peeling stops when it is
+  * empty. Each round's blocks are local-checkpointed, so a round never
+  * recomputes an earlier one.
   */
 object KCoreSpark {
 
@@ -28,15 +29,14 @@ object KCoreSpark {
     var frontier = blocks.map(frontierSize(_, k)).reduce(_ + _)
     while (frontier > 0) {
       val prev = blocks
-      val removals = Blocks.exchange(prev, parts) { (b, out) =>
+      val removed = Blocks.exchange(prev, parts) { (b, out) =>
         val g = b.graph
-        for (v <- 0 until g.n if inFrontier(b, v, k); s <- g.offsets(v) until g.offsets(v + 1) if !b.dead(s)) {
-          val w = g.ids(g.adj(s))
-          val p = Blocks.owner(w, parts)
-          out.add(p, w); out.add(p, g.ids(v))
+        for (v <- 0 until g.n if inFrontier(b, v, k); s <- g.offsets(v) until g.offsets(v + 1)) {
+          val w = g.adj(s)
+          if (b.alive(w) && !b.owned(w)) out.add(Blocks.owner(g.ids(w), parts), g.ids(v))
         }
       }
-      blocks = prev.zipPartitions(removals)((bs, ms) => Iterator.single(peel(bs.next(), k, ms.next())))
+      blocks = prev.zipPartitions(removed)((bs, ms) => Iterator.single(peel(bs.next(), k, ms.next())))
         .localCheckpoint()
       frontier = blocks.map(frontierSize(_, k)).reduce(_ + _)
       // Spark warns that `prev` cannot be recomputed now; nothing reads it again.
@@ -45,29 +45,25 @@ object KCoreSpark {
     blocks
   }
 
-  private def inFrontier(b: Block, v: Int, k: Int): Boolean = b.owned(v) && b.alive(v) && b.degree(v) < k
+  /** Whether `v` is owned, alive and has fewer than `k` live neighbours. */
+  private def inFrontier(b: Block, v: Int, k: Int): Boolean = b.owned(v) && b.alive(v) && {
+    val g = b.graph
+    var live = 0
+    var s = g.offsets(v)
+    while (s < g.offsets(v + 1) && live < k) { if (b.alive(g.adj(s))) live += 1; s += 1 }
+    live < k
+  }
 
   private def frontierSize(b: Block, k: Int): Long = (0 until b.graph.n).count(inFrontier(b, _, k)).toLong
 
-  /** One round on one block: the frontier is removed, then each
-    * `(neighbour, removed)` pair in `removals` kills the neighbour's slot to
-    * the removed vertex. A slot that is already dead is left alone, so a pair
-    * applied twice decrements the degree once.
+  /** One round on one block: the frontier and every vertex whose id is in
+    * `removed` are marked dead. Marking a dead vertex again changes nothing,
+    * so an id received twice, or a round applied twice, is harmless.
     */
-  private[spark] def peel(b: Block, k: Int, removals: Array[Long]): Block = {
-    val g = b.graph
+  private[spark] def peel(b: Block, k: Int, removed: Array[Long]): Block = {
     val alive = b.alive.clone()
-    val degree = b.degree.clone()
-    val dead = b.dead.clone()
-    for (v <- 0 until g.n if inFrontier(b, v, k)) alive(v) = false
-    var i = 0
-    while (i < removals.length) {
-      val w = java.util.Arrays.binarySearch(g.ids, removals(i))
-      val u = java.util.Arrays.binarySearch(g.ids, removals(i + 1))
-      val s = java.util.Arrays.binarySearch(g.adj, g.offsets(w), g.offsets(w + 1), u)
-      if (!dead(s)) { dead(s) = true; degree(w) -= 1 }
-      i += 2
-    }
-    new Block(g, b.owned, alive, degree, dead)
+    for (v <- 0 until b.graph.n if inFrontier(b, v, k)) alive(v) = false
+    removed.foreach(id => alive(java.util.Arrays.binarySearch(b.graph.ids, id)) = false)
+    new Block(b.graph, b.owned, alive)
   }
 }

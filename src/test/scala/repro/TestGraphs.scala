@@ -63,13 +63,19 @@ object TestGraphs {
   def toLocal(canonical: DataFrame): AdjGraph =
     AdjGraph.fromEdges(canonical.collect().map(r => (r.getLong(0), r.getLong(1))))
 
-  /** The live edges of a block partitioning, as a local graph. */
-  def toLocal(blocks: RDD[Block]): AdjGraph =
-    AdjGraph.fromEdges(blocks.flatMap { b =>
+  /** The live edges of a block partitioning, as a local graph. Fails if
+    * `Block.foreachLiveEdge` visits an edge more than once over all blocks.
+    */
+  def toLocal(blocks: RDD[Block]): AdjGraph = {
+    val edges = blocks.flatMap { b =>
       val buf = Vector.newBuilder[(Long, Long)]
       b.foreachLiveEdge((v, w) => buf += (b.graph.ids(v) -> b.graph.ids(w)))
       buf.result()
-    }.collect())
+    }.collect().map { case (a, b) => (a min b, a max b) }
+    val twice = edges.diff(edges.distinct)
+    assert(twice.isEmpty, s"live edges visited more than once: ${twice.distinct.take(5).mkString(", ")}")
+    AdjGraph.fromEdges(edges)
+  }
 
   /** Each id `a` moved outside the `Int` range: to `a·7919 − 2^40` (negative)
     * when `a` is even, to `2^40 + a·7919` when it is odd.

@@ -47,7 +47,7 @@ class KCoreSparkSpec extends SparkSpec {
     val k = 3
     // The first round keeps exactly the owned vertices whose degree is >= k.
     val kept = Blocks.fromEdges(df).flatMap { b =>
-      b.graph.ids.indices.filter(v => b.owned(v) && b.degree(v) >= k).map(b.graph.ids(_).toString)
+      b.graph.ids.indices.filter(v => b.owned(v) && b.graph.degree(v) >= k).map(b.graph.ids(_).toString)
     }.collect().toSeq
     import spark.implicits._
     Oracle.assertEquivalent(
@@ -70,15 +70,22 @@ class KCoreSparkSpec extends SparkSpec {
     assert(TestGraphs.toLocal(KCoreSpark.kCore(EdgeOps.toDF(spark, Nil), 1)).n == 0)
   }
 
-  test("a removal applied twice decrements the degree once") {
+  test("an id received twice or a round replayed kills once") {
     // A triangle plus a pendant vertex 3 on vertex 0: at k = 2 the pendant
-    // goes, and vertex 0's degree falls from 3 to 2, whatever the replay.
+    // goes and vertex 0 stays, whatever the replay.
     val b = Blocks.fromEdges(EdgeOps.toDF(spark, Seq((0L, 1L), (1L, 2L), (2L, 0L), (0L, 3L))))
       .collect().find(b => b.graph.ids.indices.exists(v => b.owned(v) && b.graph.ids(v) == 0L)).get
-    val v0 = b.graph.ids.indexOf(0L)
-    val once = KCoreSpark.peel(b, 2, Array(0L, 3L))
-    assert(once.degree(v0) == 2)
-    assert(KCoreSpark.peel(once, 2, Array(0L, 3L)).degree(v0) == 2)
-    assert(KCoreSpark.peel(b, 2, Array(0L, 3L, 0L, 3L)).degree(v0) == 2)
+    val once = KCoreSpark.peel(b, 2, Array(3L))
+    assert(!once.alive(b.graph.ids.indexOf(3L)) && once.alive(b.graph.ids.indexOf(0L)))
+    assert(KCoreSpark.peel(b, 2, Array(3L, 3L)).alive.sameElements(once.alive))
+    assert(KCoreSpark.peel(once, 2, Array(3L)).alive.sameElements(once.alive))
+  }
+
+  test("a vertex with exactly k live neighbours dies in the round after a ghost neighbour's id") {
+    // Vertex 0 is owned here; its neighbours 1 and 2 are ghosts, owned elsewhere.
+    val b = new Block(AdjGraph.fromEdges(Seq((0L, 1L), (0L, 2L))), Array(true, false, false), Array.fill(3)(true))
+    val heard = KCoreSpark.peel(b, 2, Array(1L))
+    assert(heard.alive.sameElements(Array(true, false, true)))
+    assert(KCoreSpark.peel(heard, 2, Array.emptyLongArray).alive.sameElements(Array(false, false, true)))
   }
 }
