@@ -135,93 +135,251 @@ object AdjGraph {
     *
     * There is no comparison sort over the edges, as in the counting-based
     * CSR builder of the GAP Benchmark Suite (Beamer, Asanović & Patterson,
-    * arXiv:1508.03619, 2015). With m pairs and n distinct ids, it costs
-    * O(m + n log n):
-    *   1. an open-addressing hash table gives each endpoint of a non-loop
-    *      pair a provisional index, in order of first appearance: one probe
-    *      per endpoint;
-    *   2. only the n unique ids are sorted, and each is ranked by one probe;
-    *   3. a counting-sort scatter buckets the arcs, both directions of every
+    * arXiv:1508.03619, 2015), which also builds in parallel. With m pairs,
+    * n distinct ids and c chunks, it costs O(m + c·n + n log n):
+    *   1. the endpoints of the non-loop pairs are bucketed by the top bits of
+    *      their hash into partitions of about 8k endpoints, a radix
+    *      partitioning before hashing (Manegold, Boncz & Kersten, IEEE TKDE
+    *      14(4), 2002);
+    *   2. each partition's own open-addressing table, small enough to stay in
+    *      a core's cache, gives its ids local indices: one probe per endpoint;
+    *   3. only the n unique ids are sorted, each ranked by one probe, and a
+    *      second walk over the endpoints, which meets each partition's
+    *      entries in the order step 1 wrote them, reads each one's rank;
+    *   4. a counting-sort scatter buckets the arcs, both directions of every
     *      pair, by target;
-    *   4. a second scatter walks the targets in ascending order into their
+    *   5. a second scatter walks the targets in ascending order into their
     *      sources' lists, so every list comes out sorted, and adjacent
-    *      duplicates are squeezed out in place.
+    *      duplicates are squeezed out per range of vertices.
+    * Steps 1, 4 and 5 are one stable counting sort: each chunk of the input
+    * counts its items per bucket and writes them after the earlier chunks'
+    * items, so every bucket keeps the input order a sequential pass gives.
+    * The chunks run as one parallel stream on the JVM's common pool, also
+    * when the caller is a Spark task. An input of fewer than 2^17 endpoints
+    * and extra ids is one chunk and runs inline on the caller. The chunk and
+    * partition counts follow from the input size, not from the number of
+    * cores.
     */
   def fromPairs(pairs: Array[Long]): AdjGraph = {
     require(pairs.length % 2 == 0, s"fromPairs needs an even number of ids, got ${pairs.length}")
     build(pairs, pairs.length / 2, Array.emptyLongArray)
   }
 
+  /** Endpoints and extra ids per chunk; with fewer than two chunks' worth the
+    * build runs inline as one chunk. The chunk count is capped because each
+    * counting sort over vertices keeps one histogram of n counters per chunk.
+    */
+  private final val ChunkItems = 1 << 16
+  private final val MaxChunks = 8
+
+  /** Endpoints and extra ids per partition of the id index, about what keeps
+    * a partition's table in a core's cache.
+    */
+  private final val PartitionItems = 1 << 13
+
   /** The CSR of the first `np` pairs of `pairs` plus the isolated `extra`. */
   private def build(pairs: Array[Long], np: Int, extra: Array[Long]): AdjGraph = {
-    // 1. Provisional indices of the endpoints of the non-loop pairs.
-    val index = new IdIndex(np)
-    val su = new Array[Int](np)
-    val du = new Array[Int](np)
-    var m = 0
-    var i = 0
-    while (i < np) {
-      val a = pairs(2 * i)
-      val b = pairs(2 * i + 1)
-      if (a != b) { su(m) = index(a); du(m) = index(b); m += 1 }
-      i += 1
+    // Slot 2i + e is endpoint e of pair i, and slot `slots + j` is extra(j).
+    val slots = 2 * np
+    val items = slots + extra.length
+    val chunks = math.min(MaxChunks, math.max(1, items / ChunkItems))
+    val par = chunks > 1
+    def bound(c: Int, size: Int): Int = (c.toLong * size / chunks).toInt // chunk c is [bound(c), bound(c + 1))
+    def idAt(s: Int): Long = if (s < slots) pairs(s) else extra(s - slots)
+    def isLoop(s: Int): Boolean = s < slots && pairs(s) == pairs(s ^ 1)
+
+    // 1. The endpoints of non-loop pairs and the extra ids, bucketed by the
+    // top bits of their hash (`>>> 64` does not shift, hence the mask).
+    val bits = 31 - Integer.numberOfLeadingZeros(math.max(1, items / PartitionItems))
+    val parts = 1 << bits
+    def partOf(id: Long): Int = (mix(id) >>> (64 - bits)).toInt & (parts - 1)
+    val (partStart, partCursor) = cursors(chunks, parts, par) { (c, hist, at) =>
+      var s = bound(c, items)
+      val end = bound(c + 1, items)
+      while (s < end) { if (!isLoop(s)) hist(at + partOf(idAt(s))) += 1; s += 1 }
     }
-    i = 0
-    while (i < extra.length) { index(extra(i)); i += 1 }
-    // 2. The sorted unique ids; `rank` maps a provisional index to its final one.
-    val ids = index.keys
-    java.util.Arrays.sort(ids)
-    val n = ids.length
-    val rank = new Array[Int](n)
-    i = 0
-    while (i < n) { rank(index(ids(i))) = i; i += 1 }
-    // 3. Degrees, duplicates included; a vertex is the target of as many arcs
-    // as it is the source of, so one `offsets` serves both scatters.
-    val offsets = new Array[Int](n + 1)
-    i = 0
-    while (i < m) {
-      su(i) = rank(su(i)); du(i) = rank(du(i))
-      offsets(su(i) + 1) += 1; offsets(du(i) + 1) += 1
-      i += 1
-    }
-    i = 0
-    while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
-    // 4. Arcs bucketed by target: `from` holds each arc's source.
-    val from = new Array[Int](2 * m)
-    val cursor = java.util.Arrays.copyOf(offsets, n)
-    i = 0
-    while (i < m) {
-      val u = su(i); val v = du(i)
-      from(cursor(v)) = u; cursor(v) += 1
-      from(cursor(u)) = v; cursor(u) += 1
-      i += 1
-    }
-    // 5. Targets in ascending order into their sources' lists.
-    val adj = new Array[Int](2 * m)
-    System.arraycopy(offsets, 0, cursor, 0, n)
-    var t = 0
-    while (t < n) {
-      var j = offsets(t)
-      while (j < offsets(t + 1)) { val s = from(j); adj(cursor(s)) = t; cursor(s) += 1; j += 1 }
-      t += 1
-    }
-    // 6. Drop each sorted list's adjacent duplicates, compacting the lists
-    // leftwards in place; `offsets(v + 1)` is read before it is moved.
-    var w = 0
-    var start = 0
-    var v = 0
-    while (v < n) {
-      val end = offsets(v + 1)
-      var j = start
-      while (j < end) {
-        if (j == start || adj(j) != adj(j - 1)) { adj(w) = adj(j); w += 1 }
-        j += 1
+    val partId = new Array[Long](partStart(parts))
+    val replay = partCursor.clone() // for the second walk in step 3
+    tasks(chunks, par) { c =>
+      var s = bound(c, items)
+      val end = bound(c + 1, items)
+      while (s < end) {
+        if (!isLoop(s)) {
+          val id = idAt(s)
+          val b = c * parts + partOf(id)
+          partId(partCursor(b)) = id; partCursor(b) += 1
+        }
+        s += 1
       }
-      offsets(v + 1) = w
-      start = end
-      v += 1
     }
-    new AdjGraph(ids, offsets, if (w == adj.length) adj else java.util.Arrays.copyOf(adj, w))
+    // 2. Local indices per partition, from a table sized for a quarter of the
+    // partition's entries (an id is an endpoint of several pairs); the unique
+    // counts, summed in partition order, give each partition's base.
+    val index = new Array[IdIndex](parts)
+    val local = new Array[Int](partId.length)
+    val base = new Array[Int](parts + 1)
+    tasks(parts, par) { p =>
+      val t = new IdIndex((partStart(p + 1) - partStart(p)) / 4)
+      var j = partStart(p)
+      val end = partStart(p + 1)
+      while (j < end) { local(j) = t(partId(j)); j += 1 }
+      index(p) = t; base(p + 1) = t.size
+    }
+    accumulate(base)
+    // 3. The sorted unique ids; `rank` maps base + local index to the final
+    // index. Every id is in its table, so the probes only read.
+    val n = base(parts)
+    val ids = new Array[Long](n)
+    tasks(parts, par)(p => index(p).keysTo(ids, base(p)))
+    if (par) java.util.Arrays.parallelSort(ids) else java.util.Arrays.sort(ids)
+    val rank = new Array[Int](n)
+    tasks(chunks, par) { c =>
+      var r = bound(c, n)
+      val end = bound(c + 1, n)
+      while (r < end) { val p = partOf(ids(r)); rank(base(p) + index(p)(ids(r))) = r; r += 1 }
+    }
+    // Each endpoint's final index: a second walk over each chunk's slots
+    // meets the entries of a partition in the order the scatter wrote them.
+    val ends = new Array[Int](slots) // -1 at a loop
+    tasks(chunks, par) { c =>
+      var s = bound(c, items)
+      val end = math.min(bound(c + 1, items), slots)
+      while (s < end) {
+        if (isLoop(s)) ends(s) = -1
+        else {
+          val p = partOf(pairs(s))
+          val b = c * parts + p
+          ends(s) = rank(base(p) + local(replay(b))); replay(b) += 1
+        }
+        s += 1
+      }
+    }
+    // 4. Arcs bucketed by target: arc a runs from ends(a ^ 1) to ends(a), and
+    // `from` holds each arc's source. A vertex is the target of as many arcs
+    // as it is the source of, so the bucket starts are the list offsets.
+    val (offsets, arcCursor) = cursors(chunks, n, par) { (c, hist, at) =>
+      var a = bound(c, slots)
+      val end = bound(c + 1, slots)
+      while (a < end) { if (ends(a) >= 0) hist(at + ends(a)) += 1; a += 1 }
+    }
+    val from = new Array[Int](offsets(n))
+    tasks(chunks, par) { c =>
+      var a = bound(c, slots)
+      val end = bound(c + 1, slots)
+      while (a < end) {
+        val v = ends(a)
+        if (v >= 0) { val b = c * n + v; from(arcCursor(b)) = ends(a ^ 1); arcCursor(b) += 1 }
+        a += 1
+      }
+    }
+    // 5. Targets in ascending order into their sources' lists: chunk c takes
+    // the targets `first(c) until first(c + 1)`, which hold about equal arcs.
+    val first = Array.tabulate(chunks + 1)(c => if (c == chunks) n else firstAtOrAfter(offsets, n, bound(c, offsets(n))))
+    val (_, listCursor) = cursors(chunks, n, par) { (c, hist, at) =>
+      var j = offsets(first(c))
+      val end = offsets(first(c + 1))
+      while (j < end) { hist(at + from(j)) += 1; j += 1 }
+    }
+    val adj = new Array[Int](offsets(n))
+    tasks(chunks, par) { c =>
+      var t = first(c)
+      while (t < first(c + 1)) {
+        var j = offsets(t)
+        val end = offsets(t + 1)
+        while (j < end) { val b = c * n + from(j); adj(listCursor(b)) = t; listCursor(b) += 1; j += 1 }
+        t += 1
+      }
+    }
+    // 6. Drop each sorted list's adjacent duplicates, compacting each chunk's
+    // lists leftwards from the chunk's start; `offsets(v + 1)` is read before
+    // it is moved. Then, if anything was dropped, copy the chunks together.
+    val start = first.map(offsets(_))
+    val kept = new Array[Int](chunks + 1)
+    tasks(chunks, par) { c =>
+      var w = start(c)
+      var j = start(c)
+      var v = first(c)
+      while (v < first(c + 1)) {
+        val listStart = j
+        val end = offsets(v + 1)
+        while (j < end) {
+          if (j == listStart || adj(j) != adj(j - 1)) { adj(w) = adj(j); w += 1 }
+          j += 1
+        }
+        offsets(v + 1) = w
+        v += 1
+      }
+      kept(c + 1) = w - start(c)
+    }
+    accumulate(kept)
+    if (kept(chunks) == adj.length) new AdjGraph(ids, offsets, adj)
+    else {
+      val squeezed = new Array[Int](kept(chunks))
+      tasks(chunks, par) { c =>
+        System.arraycopy(adj, start(c), squeezed, kept(c), kept(c + 1) - kept(c))
+        var v = first(c)
+        while (v < first(c + 1)) { offsets(v + 1) += kept(c) - start(c); v += 1 }
+      }
+      new AdjGraph(ids, offsets, squeezed)
+    }
+  }
+
+  /** Turns counts into running sums in place. */
+  private def accumulate(a: Array[Int]): Unit = {
+    var i = 1
+    while (i < a.length) { a(i) += a(i - 1); i += 1 }
+  }
+
+  /** The counting pass of a stable parallel counting sort of `chunks` chunks
+    * of items into `buckets` buckets: `count(c, hist, c * buckets)` adds the
+    * number of chunk c's items in bucket b to `hist(c * buckets + b)`. Returns
+    * the bucket starts, `buckets + 1` of them, and `hist` turned into cursors:
+    * chunk c writes its items of bucket b in input order from
+    * `hist(c * buckets + b)` on, after those of the earlier chunks, so every
+    * bucket holds its items in input order, as a sequential scatter does.
+    */
+  private def cursors(chunks: Int, buckets: Int, par: Boolean)(
+      count: (Int, Array[Int], Int) => Unit): (Array[Int], Array[Int]) = {
+    val hist = new Array[Int](chunks * buckets)
+    tasks(chunks, par)(c => count(c, hist, c * buckets))
+    def bound(r: Int): Int = (r.toLong * buckets / chunks).toInt
+    val starts = new Array[Int](buckets + 1)
+    tasks(chunks, par) { r =>
+      var b = bound(r)
+      val end = bound(r + 1)
+      while (b < end) {
+        var c = 0
+        while (c < chunks) { starts(b + 1) += hist(c * buckets + b); c += 1 }
+        b += 1
+      }
+    }
+    accumulate(starts)
+    tasks(chunks, par) { r =>
+      var b = bound(r)
+      val end = bound(r + 1)
+      while (b < end) {
+        var at = starts(b)
+        var c = 0
+        while (c < chunks) { val k = c * buckets + b; val x = hist(k); hist(k) = at; at += x; c += 1 }
+        b += 1
+      }
+    }
+    (starts, hist)
+  }
+
+  /** Runs `f(0)` … `f(count - 1)`: as one parallel stream on the common pool
+    * when `par`, else inline and in order.
+    */
+  private def tasks(count: Int, par: Boolean)(f: Int => Unit): Unit =
+    if (par) java.util.stream.IntStream.range(0, count).parallel().forEach(i => f(i))
+    else { var i = 0; while (i < count) { f(i); i += 1 } }
+
+  /** The least `t <= n` with `offsets(t) >= x`; `offsets` ascends. */
+  private def firstAtOrAfter(offsets: Array[Int], n: Int, x: Int): Int = {
+    var lo = 0
+    var hi = n
+    while (lo < hi) { val mid = (lo + hi) >>> 1; if (offsets(mid) < x) lo = mid + 1 else hi = mid }
+    lo
   }
 
   /** Build directly from pre-validated CSR arrays. */
@@ -247,26 +405,26 @@ object AdjGraph {
     private var mask = Integer.highestOneBit(math.max(expected, 8)) * 2 - 1
     private var slotIds = new Array[Long](mask + 1)
     private var slotIndex = new Array[Int](mask + 1) // index + 1; 0 marks an empty slot
-    private var size = 0
+    private var count = 0
+
+    /** The number of ids held. */
+    def size: Int = count
 
     /** The index of `id`, which is the next free one if `id` is new. */
     def apply(id: Long): Int = {
       val i = slot(id)
       if (slotIndex(i) != 0) slotIndex(i) - 1
       else {
-        slotIds(i) = id; size += 1; slotIndex(i) = size
-        if (2 * size > mask) grow()
-        size - 1
+        slotIds(i) = id; count += 1; slotIndex(i) = count
+        if (2 * count > mask) grow()
+        count - 1
       }
     }
 
-    /** The ids held, in no particular order. */
-    def keys: Array[Long] = {
-      val out = new Array[Long](size)
-      var at = 0
+    /** Writes each id held at `out(at + its index)`. */
+    def keysTo(out: Array[Long], at: Int): Unit = {
       var i = 0
-      while (i <= mask) { if (slotIndex(i) != 0) { out(at) = slotIds(i); at += 1 }; i += 1 }
-      out
+      while (i <= mask) { if (slotIndex(i) != 0) out(at + slotIndex(i) - 1) = slotIds(i); i += 1 }
     }
 
     /** The slot holding `id`, or the empty slot where it belongs. */

@@ -117,9 +117,11 @@ class AdjGraphSpec extends SparkSpec {
     (rnd.shuffle(es ++ repeats), rnd.shuffle(pool.toVector ++ pool.take(pool.length / 10)))
   }
 
-  // The id table is sized for the number of pairs and holds at most half of
-  // its slots, so n ids from fewer than n / 2 pairs, or from extra ids alone,
-  // make it grow: once or twice from the edges, and many times from extra ids.
+  // A partition's id table starts with slots for a quarter of its entries and
+  // doubles when half full. These inputs have one to two entries per distinct
+  // id, so the tables grow, most of all when the extra ids alone fill them.
+  // Each input is one chunk, over one partition (n = 5000) up to eight
+  // (n = 50000).
   for (n <- Seq(5000, 15000, 30000, 50000)) test(s"fromEdges equals the reference builder past table growths (n=$n)") {
     val rnd = new Random(n)
     val pool = Iterator.continually(rnd.nextLong()).distinct.take(n).toArray
@@ -140,6 +142,61 @@ class AdjGraphSpec extends SparkSpec {
     assertMatchesReference("low-bit collisions", pinned ++ edges, extra)
     assertMatchesReference("low-bit collisions, edges only", pinned ++ edges, Vector.empty)
     assertMatchesReference("low-bit collisions, extra ids only", Vector.empty, extra)
+  }
+
+  // From 2^17 endpoints and extra ids on, the build runs in several chunks
+  // (eight from 2^19 on), whatever the number of cores.
+  test("fromEdges equals the reference builder on 300k pairs in eight chunks") {
+    val rnd = new Random(11)
+    val extremes = Array(Long.MinValue, Long.MinValue + 1, -1L, 0L, 1L, Long.MaxValue - 1, Long.MaxValue)
+    val negatives = Array.fill(20000)(-1L - rnd.nextInt(1 << 30))
+    val pool = (extremes ++ negatives ++ Array.fill(40000)(rnd.nextLong())).distinct
+    val (edges, extra) = inputOver(rnd, pool, 250000)
+    assert(edges.length >= 300000)
+    val pinned = Vector((Long.MinValue, Long.MaxValue), (Long.MaxValue, Long.MinValue), (Long.MinValue, Long.MinValue))
+    assertMatchesReference("300k pairs", pinned ++ edges, extra)
+    assertMatchesReference("300k pairs, edges only", pinned ++ edges, Vector.empty)
+  }
+
+  test("fromEdges equals the reference builder on a star whose hub has 200k leaves") {
+    val rnd = new Random(12)
+    val leaves = Vector.tabulate(200000)(i => 7L * i - 500000L).filter(_ != 3L)
+    val spokes = leaves.map(l => if (rnd.nextBoolean()) (3L, l) else (l, 3L))
+    val repeats = spokes.filter(_ => rnd.nextInt(10) == 0).map(_.swap)
+    assertMatchesReference("star", rnd.shuffle(spokes ++ repeats), Vector.empty)
+  }
+
+  /** The inverse of `AdjGraph.mix`, so that a test can choose ids by their
+    * hash. Each multiplier is inverted modulo 2^64 by Newton's iteration,
+    * which doubles the correct low bits from three; `x ^= x >>> 33` is its
+    * own inverse.
+    */
+  private def unmix(h0: Long): Long = {
+    def inverse(c: Long): Long = { var x = c; for (_ <- 1 to 5) x *= 2 - c * x; x }
+    var h = h0
+    h ^= h >>> 33; h *= inverse(0xc4ceb9fe1a85ec53L)
+    h ^= h >>> 33; h *= inverse(0xff51afd7ed558ccdL)
+    h ^ (h >>> 33)
+  }
+
+  test("fromEdges equals the reference builder on ids that all fall into one partition") {
+    val rnd = new Random(13)
+    val hashes = Iterator.continually(rnd.nextLong() >>> 24).distinct.take(40000).toArray // top 24 bits zero
+    val pool = hashes.map(unmix)
+    assert(pool.map(AdjGraph.mix).sameElements(hashes))
+    val (edges, extra) = inputOver(rnd, pool, 120000)
+    assertMatchesReference("one partition", edges, extra)
+  }
+
+  test("fromEdges gives the same arrays for the same edge set in two shuffled orders") {
+    val rnd = new Random(14)
+    val pool = Array.fill(30000)(rnd.nextLong())
+    val (edges, _) = inputOver(rnd, pool, 200000)
+    val reordered = rnd.shuffle(edges).map(e => if (rnd.nextBoolean()) e.swap else e)
+    val ref = referenceFromEdges(edges, Nil)
+    assertSameCsr(AdjGraph.fromEdges(edges), ref, "first order")
+    assertSameCsr(AdjGraph.fromEdges(reordered), ref, "second order")
+    assertSameCsr(AdjGraph.fromPairs(interleaved(reordered)), ref, "second order as pairs")
   }
 
   test("empty graph") {
