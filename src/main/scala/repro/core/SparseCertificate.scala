@@ -36,7 +36,8 @@ import repro.graph.{AdjGraph, GraphOps}
   *  2. one pass over the slots that gives each edge's twin slot its label
   *     and copies the labelled slots into the certificate;
   *  3. a BFS over the label-k edges the scan recorded, at most n − 1 of
-  *     them, counting-sorted into ascending lists, for the side-groups.
+  *     them, built by `AdjGraph.fromArcs` into ascending lists, for the
+  *     side-groups.
   * k separate scan-first searches, as in the paper, would cost O(k·m).
   */
 object SparseCertificate {
@@ -161,40 +162,12 @@ object SparseCertificate {
   }
 
   /** Components of F_k with more than k members, as `connectedComponents`
-    * gives them: a counting sort puts the label-k edges into ascending
-    * lists, so groups and their members come in the order of a BFS over the
-    * label-k slots from roots in ascending order.
+    * gives them on the CSR of the label-k edges, whose lists ascend: groups
+    * and their members come in the order of a BFS over the label-k slots
+    * from roots in ascending order.
     */
-  private def sideGroups(g: AdjGraph, k: Int, sc: Scan): Vector[Array[Int]] = {
-    val n = g.n
-    val nk = sc.nk
+  private def sideGroups(g: AdjGraph, k: Int, sc: Scan): Vector[Array[Int]] =
     // A tree with more than k vertices has at least k edges.
-    if (nk < k) return Vector.empty
-    val kEdges = sc.kEdges
-    val off = new Array[Int](n + 1)
-    var i = 0
-    while (i < 2 * nk) { off(kEdges(i) + 1) += 1; i += 1 }
-    var v = 0
-    while (v < n) { off(v + 1) += off(v); v += 1 }
-    // Arcs bucketed by target, then the targets in ascending order into
-    // their sources' lists.
-    val from = new Array[Int](2 * nk)
-    val cursor = java.util.Arrays.copyOf(off, n)
-    i = 0
-    while (i < nk) {
-      val a = kEdges(2 * i); val b = kEdges(2 * i + 1)
-      from(cursor(b)) = a; cursor(b) += 1
-      from(cursor(a)) = b; cursor(a) += 1
-      i += 1
-    }
-    val fk = new Array[Int](2 * nk)
-    System.arraycopy(off, 0, cursor, 0, n)
-    var t = 0
-    while (t < n) {
-      var j = off(t)
-      while (j < off(t + 1)) { val s = from(j); fk(cursor(s)) = t; cursor(s) += 1; j += 1 }
-      t += 1
-    }
-    GraphOps.connectedComponents(AdjGraph.unsafe(g.ids, off, fk)).filter(_.length > k)
-  }
+    if (sc.nk < k) Vector.empty
+    else GraphOps.connectedComponents(AdjGraph.fromArcs(g.ids, sc.kEdges, 2 * sc.nk)).filter(_.length > k)
 }

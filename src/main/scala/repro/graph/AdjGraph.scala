@@ -133,10 +133,11 @@ object AdjGraph {
     * `(pairs(2i), pairs(2i + 1))`. The result equals `fromEdges` on the same
     * pairs, array for array.
     *
-    * There is no comparison sort over the edges, as in the counting-based
-    * CSR builder of the GAP Benchmark Suite (Beamer, Asanović & Patterson,
-    * arXiv:1508.03619, 2015), which also builds in parallel. With m pairs,
-    * n distinct ids and c chunks, it costs O(m + c·n + n log n):
+    * There is no comparison sort over the whole edge list, only over each
+    * vertex's list, as in the counting-based CSR builder of the GAP Benchmark
+    * Suite (Beamer, Asanović & Patterson, arXiv:1508.03619, 2015), which
+    * also builds in parallel. With m pairs, n distinct ids, c chunks and
+    * lists of d entries, it costs O(m + c·n + n log n + Σ d log d):
     *   1. the endpoints of the non-loop pairs are bucketed by the top bits of
     *      their hash into partitions of about 8k endpoints, a radix
     *      partitioning before hashing (Manegold, Boncz & Kersten, IEEE TKDE
@@ -146,12 +147,11 @@ object AdjGraph {
     *   3. only the n unique ids are sorted, each ranked by one probe, and a
     *      second walk over the endpoints, which meets each partition's
     *      entries in the order step 1 wrote them, reads each one's rank;
-    *   4. a counting-sort scatter buckets the arcs, both directions of every
-    *      pair, by target;
-    *   5. a second scatter walks the targets in ascending order into their
-    *      sources' lists, so every list comes out sorted, and adjacent
-    *      duplicates are squeezed out per range of vertices.
-    * Steps 1, 4 and 5 are one stable counting sort: each chunk of the input
+    *   4. `fromArcs` scatters each arc, both directions of every pair, into
+    *      its target's list by a counting sort;
+    *   5. each list is sorted in place and its adjacent duplicates are
+    *      squeezed out, per range of vertices.
+    * Steps 1 and 4 are the same stable counting sort: each chunk of the input
     * counts its items per bucket and writes them after the earlier chunks'
     * items, so every bucket keeps the input order a sequential pass gives.
     * The chunks run as one parallel stream on the JVM's common pool, also
@@ -165,8 +165,8 @@ object AdjGraph {
     build(pairs, pairs.length / 2, Array.emptyLongArray)
   }
 
-  /** Endpoints and extra ids per chunk; with fewer than two chunks' worth the
-    * build runs inline as one chunk. The chunk count is capped because each
+  /** Endpoints and extra ids per chunk (arc slots in `fromArcs`); with fewer
+    * than two chunks' worth the build runs inline as one chunk. The chunk count is capped because the
     * counting sort over vertices keeps one histogram of n counters per chunk.
     */
   private final val ChunkItems = 1 << 16
@@ -254,45 +254,51 @@ object AdjGraph {
         s += 1
       }
     }
-    // 4. Arcs bucketed by target: arc a runs from ends(a ^ 1) to ends(a), and
-    // `from` holds each arc's source. A vertex is the target of as many arcs
-    // as it is the source of, so the bucket starts are the list offsets.
-    val (offsets, arcCursor) = cursors(chunks, n, par) { (c, hist, at) =>
+    // 4 and 5: the CSR of the arcs.
+    fromArcs(ids, ends, slots)
+  }
+
+  /** The unique CSR over the vertices `0 until ids.length` of the first
+    * `slots` arcs of `ends`: arc a runs from `ends(a ^ 1)` to `ends(a)`, and
+    * -1 marks an arc that is left out (a self-loop). Every arc's twin must be
+    * there too, so the graph is undirected. A counting-sort scatter puts each
+    * arc's source into its target's list; each list is then sorted in place
+    * and its adjacent duplicates are squeezed out. O(s + c·n + Σ d log d) for
+    * s slots, c chunks and lists of d entries.
+    *
+    * Fewer than 2^17 slots are one chunk, run inline on the caller. More run
+    * as one parallel stream, which runs on the pool of the calling thread if
+    * that is a fork/join worker (a `KVCCEnumerator` task's pool), else on the
+    * JVM's common pool.
+    */
+  private[repro] def fromArcs(ids: Array[Long], ends: Array[Int], slots: Int): AdjGraph = {
+    val n = ids.length
+    val chunks = math.min(MaxChunks, math.max(1, slots / ChunkItems))
+    val par = chunks > 1
+    def bound(c: Int, size: Int): Int = (c.toLong * size / chunks).toInt
+    // A vertex is the target of as many arcs as it is the source of, so the
+    // bucket starts are the list offsets.
+    val (offsets, cursor) = cursors(chunks, n, par) { (c, hist, at) =>
       var a = bound(c, slots)
       val end = bound(c + 1, slots)
       while (a < end) { if (ends(a) >= 0) hist(at + ends(a)) += 1; a += 1 }
     }
-    val from = new Array[Int](offsets(n))
+    val adj = new Array[Int](offsets(n))
     tasks(chunks, par) { c =>
       var a = bound(c, slots)
       val end = bound(c + 1, slots)
       while (a < end) {
         val v = ends(a)
-        if (v >= 0) { val b = c * n + v; from(arcCursor(b)) = ends(a ^ 1); arcCursor(b) += 1 }
+        if (v >= 0) { val b = c * n + v; adj(cursor(b)) = ends(a ^ 1); cursor(b) += 1 }
         a += 1
       }
     }
-    // 5. Targets in ascending order into their sources' lists: chunk c takes
-    // the targets `first(c) until first(c + 1)`, which hold about equal arcs.
+    // Sort each list and drop its adjacent duplicates: chunk c takes the
+    // vertices `first(c) until first(c + 1)`, which hold about equal arcs, and
+    // compacts their lists leftwards from the chunk's start; `offsets(v + 1)`
+    // is read before it is moved. Then, if anything was dropped, copy the
+    // chunks together.
     val first = Array.tabulate(chunks + 1)(c => if (c == chunks) n else firstAtOrAfter(offsets, n, bound(c, offsets(n))))
-    val (_, listCursor) = cursors(chunks, n, par) { (c, hist, at) =>
-      var j = offsets(first(c))
-      val end = offsets(first(c + 1))
-      while (j < end) { hist(at + from(j)) += 1; j += 1 }
-    }
-    val adj = new Array[Int](offsets(n))
-    tasks(chunks, par) { c =>
-      var t = first(c)
-      while (t < first(c + 1)) {
-        var j = offsets(t)
-        val end = offsets(t + 1)
-        while (j < end) { val b = c * n + from(j); adj(listCursor(b)) = t; listCursor(b) += 1; j += 1 }
-        t += 1
-      }
-    }
-    // 6. Drop each sorted list's adjacent duplicates, compacting each chunk's
-    // lists leftwards from the chunk's start; `offsets(v + 1)` is read before
-    // it is moved. Then, if anything was dropped, copy the chunks together.
     val start = first.map(offsets(_))
     val kept = new Array[Int](chunks + 1)
     tasks(chunks, par) { c =>
@@ -302,6 +308,7 @@ object AdjGraph {
       while (v < first(c + 1)) {
         val listStart = j
         val end = offsets(v + 1)
+        java.util.Arrays.sort(adj, listStart, end)
         while (j < end) {
           if (j == listStart || adj(j) != adj(j - 1)) { adj(w) = adj(j); w += 1 }
           j += 1
@@ -367,8 +374,9 @@ object AdjGraph {
     (starts, hist)
   }
 
-  /** Runs `f(0)` … `f(count - 1)`: as one parallel stream on the common pool
-    * when `par`, else inline and in order.
+  /** Runs `f(0)` … `f(count - 1)`: as one parallel stream when `par` (on the
+    * caller's fork/join pool if it runs in one, else on the common pool), else
+    * inline and in order.
     */
   private def tasks(count: Int, par: Boolean)(f: Int => Unit): Unit =
     if (par) java.util.stream.IntStream.range(0, count).parallel().forEach(i => f(i))

@@ -190,6 +190,16 @@ class SparseCertificateSpec extends SparkSpec {
       val g = AdjGraph.fromEdges(TestGraphs.erdosRenyi(n, p, n * 1000L + (p * 100).toLong * 10 + seed))
       for (k <- 1 to 8) assertMatchesOracle(g, k, s"n=$n p=$p seed=$seed k=$k")
     }
+    // A circulant graph (i joined to i ± 1, 2, 3): F_1 and F_2 each span
+    // almost all of it, and a side-group of more than 2^16 + 1 vertices comes
+    // from at least 2^16 label-k edges, which the side-group build cuts into
+    // more than one chunk.
+    val n = 70000
+    val g = AdjGraph.fromEdges(for (i <- 0 until n; d <- 1 to 3) yield (i.toLong, ((i + d) % n).toLong))
+    for (k <- 1 to 2) {
+      assertMatchesOracle(g, k, s"circulant n=$n k=$k")
+      assert(SparseCertificate.compute(g, k).sideGroups.map(_.length).max > (1 << 16) + 1, s"circulant k=$k side-groups")
+    }
   }
 
   test("one-scan certificate equals the oracle on every GLOBAL-CUT input of VCCE* on two substitutes") {
