@@ -28,7 +28,7 @@ object ConnectedComponentsSpark {
     * Each partition `p` sends its forest as one `(vertex, root)` pair per
     * vertex of its live edges `E_p`, so the driver merges at most
     * Σ_p |V(E_p)| ≤ P·n pairs, where P is the number of partitions and n the
-    * number of vertices with a live edge (after k-core peeling, n_core).
+    * number of vertices with a live edge (after pruning, about n_core).
     */
   def labels(blocks: RDD[Block]): Labels = {
     val forests = blocks.map { b =>

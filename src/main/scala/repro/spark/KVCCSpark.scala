@@ -6,17 +6,17 @@ import repro.graph.AdjGraph
 
 /** Distributed KVCC-ENUM driver (DESIGN.md §4).
   *
-  * The bulk phases run on one hash-partitioned adjacency (`Blocks`): the
-  * k-core by message-passing rounds (`KCoreSpark`), then the connected
-  * components by per-partition spanning forests merged on the driver
-  * (`ConnectedComponentsSpark`). Each live core edge then travels to the
-  * owner of its component's label, so a task receives whole components. It
-  * builds them as one `AdjGraph` and runs the recursive cut-and-partition
-  * kernel (`KVCCEnumerator`) once: the kernel's own k-core and components
-  * step splits the disjoint union, whose k-VCCs are those of its parts. The
-  * post-k-core components are orders of magnitude smaller than the input
-  * graph (that is the point of Algorithm 1's pre-pruning), so this mirrors
-  * the paper's partition-then-solve structure at cluster scale.
+  * The bulk phases run on one hash-partitioned adjacency (`Blocks`): two
+  * k-core peel rounds (`KCoreSpark.prune`), which leave a supergraph of the
+  * core, then the connected components by per-partition spanning forests
+  * merged on the driver (`ConnectedComponentsSpark`). Each live edge then
+  * travels to the owner of its component's label, so a task receives whole
+  * components. It builds them as one `AdjGraph` and runs the recursive
+  * cut-and-partition kernel (`KVCCEnumerator`) once: the kernel's exact
+  * k-core finishes the peel, and its components step splits the disjoint
+  * union, whose k-VCCs are those of its parts. Each pruned component holds
+  * whole core components, orders of magnitude smaller than the input graph,
+  * which mirrors the paper's partition-then-solve structure at cluster scale.
   */
 object KVCCSpark {
 
@@ -25,17 +25,17 @@ object KVCCSpark {
     * task enumerates its components on `spark.task.cpus` threads (default 1).
     */
   def enumerate(edges: DataFrame, k: Int, variant: Variant = Variant.Star): Vector[Vector[Long]] = {
-    val core = KCoreSpark.kCore(edges, k)
+    val pruned = KCoreSpark.prune(edges, k)
     try {
-      val labels = ConnectedComponentsSpark.labels(core)
+      val labels = ConnectedComponentsSpark.labels(pruned)
       if (labels.size == 0) Vector.empty
       else {
         val sc = edges.sparkSession.sparkContext
-        val parts = core.getNumPartitions
+        val parts = pruned.getNumPartitions
         val shared = sc.broadcast(labels)
         // A task may use the cores of its slot and no more.
         val threads = sc.getConf.getInt("spark.task.cpus", 1)
-        val routed = Blocks.exchange(core, parts) { (b, out) =>
+        val routed = Blocks.exchange(pruned, parts) { (b, out) =>
           val ids = b.graph.ids
           val label = shared.value
           b.foreachLiveEdge { (v, w) =>
@@ -49,6 +49,6 @@ object KVCCSpark {
         try found.collect().toVector.sorted(KVCCEnumerator.canonicalOrder)
         finally shared.destroy()
       }
-    } finally core.unpersist(blocking = false)
+    } finally pruned.unpersist(blocking = false)
   }
 }

@@ -77,6 +77,29 @@ object TestGraphs {
     AdjGraph.fromEdges(edges)
   }
 
+  /** Synchronous peeling, the reference for `KCoreSpark.prune`: each of at
+    * most `rounds` rounds removes, all at once, every vertex with fewer than
+    * `k` live neighbours. Returns the live edges as a graph (a vertex left
+    * with no live edge is dropped, as from any edge list) and the number of
+    * rounds that removed a vertex; with `rounds` unbounded, the graph is the
+    * k-core and the count is the number of rounds an exact peel needs.
+    */
+  def peelRounds(g: AdjGraph, k: Int, rounds: Int = Int.MaxValue): (AdjGraph, Int) = {
+    val alive = Array.fill(g.n)(true)
+    def live(v: Int): Int = { var d = 0; g.foreachNeighbor(v)(w => if (alive(w)) d += 1); d }
+    def frontier = (0 until g.n).filter(v => alive(v) && live(v) < k)
+    var peeled = 0
+    var next = frontier
+    while (peeled < rounds && next.nonEmpty) {
+      next.foreach(alive(_) = false)
+      peeled += 1
+      next = frontier
+    }
+    val edges = for (v <- 0 until g.n if alive(v); s <- g.offsets(v) until g.offsets(v + 1)
+                     if v < g.adj(s) && alive(g.adj(s))) yield (g.ids(v), g.ids(g.adj(s)))
+    (AdjGraph.fromEdges(edges), peeled)
+  }
+
   /** Each id `a` moved outside the `Int` range: to `a·7919 − 2^40` (negative)
     * when `a` is even, to `2^40 + a·7919` when it is odd.
     */

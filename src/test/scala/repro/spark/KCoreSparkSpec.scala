@@ -7,14 +7,22 @@ import repro.graph.{AdjGraph, GraphOps}
 
 class KCoreSparkSpec extends SparkSpec {
 
+  /** `KCoreSpark.prune` keeps exactly what two synchronous peel rounds keep,
+    * which holds the exact k-core and has the same k-core as the input.
+    */
   private def check(edges: Seq[(Long, Long)], k: Int): Unit = {
-    val df = EdgeOps.toDF(spark, edges)
-    val sparkCore = TestGraphs.toLocal(KCoreSpark.kCore(df, k))
-    val localCore = GraphOps.kCore(AdjGraph.fromEdges(edges), k)
-    // The Spark core drops isolated vertices (edge representation); the local
-    // k-core has min degree >= k >= 1 so no isolated vertices exist either.
-    assert(sparkCore.ids.toSet == localCore.ids.toSet, s"k=$k vertex sets differ")
-    assert(sparkCore.edgeList.toSet == localCore.edgeList.toSet, s"k=$k edge sets differ")
+    val input = AdjGraph.fromEdges(edges)
+    val pruned = TestGraphs.toLocal(KCoreSpark.prune(EdgeOps.toDF(spark, edges), k))
+    val (reference, _) = TestGraphs.peelRounds(input, k, rounds = 2)
+    // Both are edge lists, so neither holds an isolated vertex.
+    assert(pruned.ids.toSet == reference.ids.toSet, s"k=$k vertex sets differ from two local rounds")
+    assert(pruned.edgeList.toSet == reference.edgeList.toSet, s"k=$k edge sets differ from two local rounds")
+    val localCore = GraphOps.kCore(input, k)
+    assert(localCore.ids.toSet.subsetOf(pruned.ids.toSet), s"k=$k the pruned graph misses a core vertex")
+    assert(localCore.edgeList.toSet.subsetOf(pruned.edgeList.toSet), s"k=$k the pruned graph misses a core edge")
+    val prunedCore = GraphOps.kCore(pruned, k)
+    assert(prunedCore.ids.toSet == localCore.ids.toSet, s"k=$k the pruned graph's k-core has other vertices")
+    assert(prunedCore.edgeList.toSet == localCore.edgeList.toSet, s"k=$k the pruned graph's k-core has other edges")
   }
 
   for (seed <- 1 to 5; k <- Seq(2, 3, 4)) {
@@ -27,7 +35,8 @@ class KCoreSparkSpec extends SparkSpec {
     val clique = TestGraphs.erdosRenyi(6, 1.0, 1)
     check(clique, 5)
     val df = EdgeOps.toDF(spark, clique)
-    assert(TestGraphs.toLocal(KCoreSpark.kCore(df, 6)).m == 0)
+    assert(TestGraphs.toLocal(KCoreSpark.prune(df, 6)).m == 0)
+    check(clique, 6)
   }
 
   test("k-core strips the power-law background of a dataset substitute") {
@@ -35,10 +44,13 @@ class KCoreSparkSpec extends SparkSpec {
     check(edges, 20)
   }
 
-  test("cascade removal: a chain peels completely") {
+  test("cascade removal: two rounds peel the four end vertices of a chain") {
+    // The 11-vertex chain 0-1-…-10 loses one vertex at each end per round.
     val chain = (0 until 10).map(i => (i.toLong, (i + 1).toLong))
-    val df = EdgeOps.toDF(spark, chain)
-    assert(TestGraphs.toLocal(KCoreSpark.kCore(df, 2)).m == 0)
+    val pruned = TestGraphs.toLocal(KCoreSpark.prune(EdgeOps.toDF(spark, chain), 2))
+    assert(pruned.sortedIds.toSeq == (2L to 8L))
+    assert(pruned.edgeList.toSet == (2 until 8).map(i => (i.toLong, (i + 1).toLong)).toSet)
+    assert(KVCCSpark.enumerate(EdgeOps.toDF(spark, chain), 2).isEmpty)
   }
 
   test("first peel iteration matches DuckDB degree filter (Oracle)") {
@@ -67,7 +79,8 @@ class KCoreSparkSpec extends SparkSpec {
   }
 
   test("an empty edge list has an empty k-core") {
-    assert(TestGraphs.toLocal(KCoreSpark.kCore(EdgeOps.toDF(spark, Nil), 1)).n == 0)
+    assert(TestGraphs.toLocal(KCoreSpark.prune(EdgeOps.toDF(spark, Nil), 1)).n == 0)
+    check(Nil, 1)
   }
 
   test("an id received twice or a round replayed kills once") {

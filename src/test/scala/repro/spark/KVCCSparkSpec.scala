@@ -3,7 +3,7 @@ package repro.spark
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{KVCCEnumerator, Variant}
 import repro.gen.{Datasets, GraphGen}
-import repro.graph.AdjGraph
+import repro.graph.{AdjGraph, GraphOps}
 import scala.util.Random
 
 class KVCCSparkSpec extends SparkSpec {
@@ -88,5 +88,46 @@ class KVCCSparkSpec extends SparkSpec {
     val parts = spark.sparkContext.defaultParallelism
     assert((0L until 30L).map(Blocks.owner(_, parts)).toSet == (0 until parts).toSet)
     assert(KVCCSpark.enumerate(EdgeOps.toDF(spark, clique), 5, Variant.Star) == Vector((0L until 30L).toVector))
+  }
+
+  test("two k-VCCs joined by a bridge that peels in five rounds share one pruned component") {
+    val k = 4
+    // Two cliques of k + 3 vertices, 0..6 and 100..106. A chain 50-51-52-53
+    // hangs on the first, each link with k − 2 edges into it, and vertex 60
+    // joins 53 to both cliques. Vertex 50 starts with k − 1 neighbours, and
+    // each removal leaves the next vertex with k − 1: rounds 1..5 remove 50,
+    // 51, 52, 53 and 60, so after two rounds 60 still joins the cliques.
+    val a = TestGraphs.erdosRenyi(k + 3, 1.0, 1)
+    val b = TestGraphs.erdosRenyi(k + 3, 1.0, 1, offset = 100)
+    val chain = 50L to 53L
+    val hang = for ((c, i) <- chain.zipWithIndex; j <- 0 until k - 2) yield (c, ((i + j) % (k + 3)).toLong)
+    val bridge = chain.zip(chain.tail) ++ Seq((53L, 60L), (60L, 0L), (60L, 100L), (60L, 101L))
+    val edges = a ++ b ++ hang ++ bridge
+    val input = AdjGraph.fromEdges(edges)
+    val (core, exactRounds) = TestGraphs.peelRounds(input, k)
+    assert(exactRounds == 5)
+    assert(GraphOps.connectedComponents(core).length == 2)
+    assert(GraphOps.connectedComponents(TestGraphs.peelRounds(input, k, rounds = 2)._1).length == 1)
+    // The Spark pipeline routes both cores to one task as one component.
+    val pruned = KCoreSpark.prune(EdgeOps.toDF(spark, edges), k)
+    try assert(ConnectedComponentsSpark.labels(pruned).components.distinct.toSeq == Seq(0L))
+    finally pruned.unpersist(blocking = false)
+    val got = KVCCSpark.enumerate(EdgeOps.toDF(spark, edges), k, Variant.Star)
+    assert(got == Vector((0L to 6L).toVector, (100L to 106L).toVector))
+    assert(got == localReference(edges, k))
+  }
+
+  test("a skewed input, one component with 90% of the core's edges, gives the local kernel's k-VCCs") {
+    val k = 4
+    val big = plantedEdges(21, blocks = 12, k = k)
+    val shift = big.flatMap(e => Seq(e._1, e._2)).max + 100
+    val small = (0 until 2).flatMap(i => TestGraphs.erdosRenyi(k + 1, 1.0, 1, offset = shift + 10 * i))
+    val edges = big ++ small
+    val core = GraphOps.kCore(AdjGraph.fromEdges(edges), k)
+    val sizes = GraphOps.connectedComponents(core).map(core.induced(_).m)
+    assert(sizes.length >= 3 && sizes.max >= 0.9 * core.m, s"component edges ${sizes.mkString(", ")}")
+    val got = KVCCSpark.enumerate(EdgeOps.toDF(spark, edges), k, Variant.Star)
+    assert(got.length > 2)
+    assert(got == localReference(edges, k))
   }
 }
